@@ -227,7 +227,7 @@ def cmd_solve(args) -> int:
             with open(trace, "w", encoding="utf-8") as fh:
                 fh.write("t,m1_min_eig\n")
                 for t, v in zip(grid.nodes, ric.m1_min_eig):
-                    fh.write(f"{t!r},{v!r}\n")
+                    fh.write(f"{float(t)!r},{float(v)!r}\n")
             manifest.outputs.append(str(trace))
         conds = _gain_condition_trace(problem, sol)
         trace = outdir / "condition_trace.csv"
@@ -471,18 +471,19 @@ def _suite_optimality(problem, grid, paths: int, seed: int) -> list[SuiteCheck]:
     ric = solve_auxiliary_riccati(aug, problem, i, grid)
     offset = solve_offset_tilde(aug, ric, problem.xi, grid)
     cfg = SimConfig(steps=grid.steps, paths=paths, base_seed=seed, store_paths=1)
-    base = simulate_penalized_forward(aug, ric, offset, ("synthesized",), problem, i, cfg)
     rng = np.random.Generator(np.random.Philox(key=seed))
+    epsilons = (0.05, 0.1, 0.2)
+    controls = [("synthesized",)]
+    for _ in range(10):
+        direction = rng.standard_normal(aug.control_dim)
+        direction /= np.linalg.norm(direction)
+        controls += [("perturbed", eps, direction) for eps in epsilons]
+    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls, problem, i, cfg)
     worst_z = -np.inf
     ratio_checks = []
-    dim = aug.control_dim
-    for d in range(10):
-        direction = rng.standard_normal(dim)
-        direction /= np.linalg.norm(direction)
+    for first in range(0, len(perturbed), len(epsilons)):
         gaps = {}
-        for eps in (0.05, 0.1, 0.2):
-            pert = simulate_penalized_forward(
-                aug, ric, offset, ("perturbed", eps, direction), problem, i, cfg)
+        for eps, pert in zip(epsilons, perturbed[first:first + len(epsilons)]):
             diff = pert.samples - base.samples
             mean = float(np.mean(diff))
             stderr = float(np.std(diff, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0

@@ -10,6 +10,9 @@ residual diagnostics operate on that stored subset.
 Optimality probing runs in the penalized stacked-forward formulation, where
 any (u, Z) policy is simulatable forward; probing the original problem would
 require solving one coupled forward-backward system per candidate control.
+All probed controls run in one batch: they share one increment block per
+path chunk (common random numbers) and one gain table, and one
+Euler-Maruyama pass advances the (controls, paths, state) stack.
 """
 
 from __future__ import annotations
@@ -362,9 +365,6 @@ def decoupling_residual(batch: SimBatch, sol: DecoupledSolution,
 # penalized forward formulation
 # ---------------------------------------------------------------------------
 
-SYNTHESIZED = ("synthesized",)
-
-
 @dataclass(frozen=True)
 class PenalizedCost:
     mean: float
@@ -386,17 +386,28 @@ def _perturbation(control, steps: int, dim: int) -> tuple[float, np.ndarray]:
     return eps, delta
 
 
-def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
-                               offset_tilde: MatrixPath | None, control,
-                               problem: FBLQProblem, i: int,
-                               cfg: SimConfig) -> PenalizedCost:
-    """Forward simulation of the stacked state under a (u, Z) policy.
+def _quad(S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Quadratic form s' W s over the last axis of a stack of vectors."""
+    return np.einsum("...i,...i->...", S @ W, S)
 
-    ``control`` is ("synthesized",) for the completion-of-squares feedback or
-    ("perturbed", eps, direction) to add eps times a fixed deterministic
-    direction to the stacked control. The cost includes the terminal penalty
-    0.5*i*|Y(T) - F X(T) - xi|^2. Identical seeds make the eps = 0
-    perturbation bitwise equal to the synthesized run.
+
+def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
+                               offset_tilde: MatrixPath | None, controls,
+                               problem: FBLQProblem, i: int,
+                               cfg: SimConfig) -> list[PenalizedCost]:
+    """Forward simulation of the stacked state under a batch of (u, Z) policies.
+
+    ``controls`` is a sequence of specs, each ("synthesized",) for the
+    completion-of-squares feedback or ("perturbed", eps, direction) to add
+    eps times a fixed deterministic direction to the stacked control; one
+    PenalizedCost is returned per spec, in order. The cost includes the
+    terminal penalty 0.5*i*|Y(T) - F X(T) - xi|^2.
+
+    All controls share one increment block per path chunk (common random
+    numbers), one gain table and one Euler-Maruyama pass whose state rows
+    are the chunk's (control, path) pairs. A control's samples do not depend
+    on the other controls in the batch or on the chunk size, so the eps = 0
+    perturbation is bitwise equal to the synthesized run.
     """
     if riccati_i.i != i:
         raise DomainError("index mismatch between solve and request")
@@ -404,12 +415,16 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     d = aug.state_dim
     cdim = aug.control_dim
     n, m = problem.n, problem.m
+    nc = len(controls)
     Pt = riccati_i.Ptilde.on_grid(grid)
     if offset_tilde is not None:
         phit = offset_tilde.on_grid(grid)[:, :, 0]
     else:
         phit = np.zeros((cfg.steps + 1, d))
-    eps, delta = _perturbation(control, cfg.steps, cdim)
+    pert = np.empty((nc, cfg.steps + 1, cdim))
+    for c, control in enumerate(controls):
+        eps, delta = _perturbation(control, cfg.steps, cdim)
+        pert[c] = eps * delta
 
     gains = np.empty((cfg.steps + 1, cdim, d))
     offs = np.empty((cfg.steps + 1, cdim))
@@ -435,37 +450,40 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     start = np.concatenate([problem.x0, y0])
 
     dt = grid.dt
-    samples = np.empty(cfg.paths)
+    samples = np.empty((nc, cfg.paths))
     for p0 in range(0, cfg.paths, cfg.chunk):
         cnum = min(cfg.chunk, cfg.paths - p0)
         dB = increment_block(cfg.base_seed, p0, cnum, cfg.steps, dt)
-        S = np.broadcast_to(start, (cnum, d)).copy()
-        qsum = np.zeros(cnum)
-        q_ends = np.zeros(cnum)
+        # rows are (control, path) pairs, control-major: one matrix product
+        # per coefficient serves the whole batch
+        S = np.broadcast_to(start, (nc * cnum, d)).copy()
+        qsum = np.zeros(nc * cnum)
+        q_ends = np.zeros(nc * cnum)
         for j in range(cfg.steps + 1):
-            u = S @ gains[j].T + offs[j] + eps * delta[j]
-            q = (np.einsum("pi,ij,pj->p", S, Q[j], S)
-                 + np.einsum("pi,ij,pj->p", u, R[j], u))
+            u = S @ gains[j].T + offs[j]
+            u_by_control = u.reshape(nc, cnum, cdim)
+            u_by_control += pert[:, j, np.newaxis]
+            q = _quad(S, Q[j]) + _quad(u, R[j])
             qsum += q
             if j == 0 or j == cfg.steps:
                 q_ends += q
             if j == cfg.steps:
                 break
-            db = dB[:, j:j + 1]
-            S_next = S + (S @ A[j].T + u @ B[j].T) * dt + (S @ C[j].T + u @ D[j].T) * db
+            noise = S @ C[j].T + u @ D[j].T
+            noise_by_control = noise.reshape(nc, cnum, d)
+            noise_by_control *= dB[:, j:j + 1]
+            S_next = S + (S @ A[j].T + u @ B[j].T) * dt + noise
             if not np.all(np.isfinite(S_next)):
-                bad = np.where(~np.isfinite(S_next).all(axis=1))[0][0]
+                c, bad = divmod(int(np.argmin(np.isfinite(S_next).all(axis=1))), cnum)
                 raise DivergedError(float(grid.nodes[j]),
-                                    f"path {p0 + int(bad)} at step {j + 1}")
+                                    f"control {c}, path {p0 + bad} at step {j + 1}")
             S = S_next
         X_T, Y_T = S[:, :n], S[:, n:]
         gap = Y_T - X_T @ problem.F.T - problem.xi
-        cost = 0.5 * (dt * (qsum - 0.5 * q_ends)
-                      + np.einsum("pi,ij,pj->p", X_T, problem.G, X_T)
+        cost = 0.5 * (dt * (qsum - 0.5 * q_ends) + _quad(X_T, problem.G)
                       + i * np.sum(gap * gap, axis=1))
-        samples[p0:p0 + cnum] = cost
-    mean, stderr = _mean_stderr(samples)
-    return PenalizedCost(mean, stderr, samples)
+        samples[:, p0:p0 + cnum] = cost.reshape(nc, cnum)
+    return [PenalizedCost(*_mean_stderr(row), row) for row in samples]
 
 
 def penalized_gap_prediction(aug: AugmentedLQ, riccati_i: RiccatiSolution,

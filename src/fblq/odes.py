@@ -113,11 +113,26 @@ class MatrixPath:
         return interpolate(self, t)
 
     def on_grid(self, grid: TimeGrid) -> np.ndarray:
-        """Values linearly interpolated onto every node of ``grid``."""
-        return np.stack([interpolate(self, t) for t in grid.nodes])
+        """Values linearly interpolated onto every node of ``grid``.
 
-    def with_values(self, values: np.ndarray) -> "MatrixPath":
-        return MatrixPath(self.grid, values, self.symmetry)
+        Equals ``interpolate`` at each node bit for bit: nodes shared with
+        this path's grid take the stored value, the others the same convex
+        combination of their two neighbours.
+        """
+        own = self.grid
+        t = grid.nodes
+        if t[0] < 0.0 or t[-1] > own.T:
+            raise DomainError(f"grid [0, {grid.T}] outside [0, {own.T}]")
+        pos = t / own.dt
+        j = np.floor(pos).astype(int)
+        w = (pos - j)[:, np.newaxis, np.newaxis]
+        lo = np.minimum(j, own.steps - 1)
+        out = (1.0 - w) * self.values[lo] + w * self.values[lo + 1]
+        out[j >= own.steps] = self.values[own.steps]
+        jr = np.rint(pos).astype(int)
+        exact = (jr <= own.steps) & (t == own.nodes[np.minimum(jr, own.steps)])
+        out[exact] = self.values[jr[exact]]
+        return out
 
 
 def interpolate(path: MatrixPath, t: float) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _KEY_SPACE = 1 << 128
+_WORD = (1 << 64) - 1
 
 
 def brownian_increments(base_seed: int, path_index: int, steps: int, dt: float) -> np.ndarray:
@@ -21,8 +22,26 @@ def brownian_increments(base_seed: int, path_index: int, steps: int, dt: float) 
 
 def increment_block(base_seed: int, first_path: int, n_paths: int, steps: int,
                     dt: float) -> np.ndarray:
-    """Increments for paths first_path..first_path+n_paths-1, shape (n_paths, steps)."""
+    """Increments for paths first_path..first_path+n_paths-1, shape (n_paths, steps).
+
+    Row r equals ``brownian_increments(base_seed, first_path + r, steps, dt)``
+    bit for bit. One bit generator serves every row: before each row its
+    state is set to the row's key with a zero counter and an empty buffer,
+    which is the state ``Philox(key=...)`` starts from, without seeding a
+    fresh generator (and reading the OS entropy pool) per path.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    # plain lists: the state setter converts them faster than uint64 arrays
+    state["state"]["counter"] = [0, 0, 0, 0]
+    state["buffer"] = [0, 0, 0, 0]
     out = np.empty((n_paths, steps))
+    key0 = int(base_seed) + int(first_path)
     for r in range(n_paths):
-        out[r] = brownian_increments(base_seed, first_path + r, steps, dt)
+        key = (key0 + r) % _KEY_SPACE
+        state["state"]["key"] = [key & _WORD, key >> 64]
+        bitgen.state = state
+        gen.standard_normal(out=out[r])
+    out *= np.sqrt(dt)
     return out

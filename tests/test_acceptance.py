@@ -271,18 +271,20 @@ def test_criterion_10_penalized_optimality():
     ric = solve_auxiliary_riccati(aug, prob, i, grid)
     offset = solve_offset_tilde(aug, ric, prob.xi, grid)
     cfg = SimConfig(steps=steps, paths=paths, base_seed=1001, store_paths=1)
-    base = simulate_penalized_forward(aug, ric, offset, ("synthesized",),
-                                      prob, i, cfg)
     rng = np.random.Generator(np.random.Philox(key=1002))
-    worst_neg = 0.0
-    ratios = []
+    epsilons = (0.05, 0.1, 0.2)
+    controls = [("synthesized",)]
     for _ in range(10):
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
+        controls += [("perturbed", eps, d) for eps in epsilons]
+    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls,
+                                                  prob, i, cfg)
+    worst_neg = 0.0
+    ratios = []
+    for first in range(0, len(perturbed), len(epsilons)):
         gaps = {}
-        for eps in (0.05, 0.1, 0.2):
-            pert = simulate_penalized_forward(
-                aug, ric, offset, ("perturbed", eps, d), prob, i, cfg)
+        for eps, pert in zip(epsilons, perturbed[first:first + len(epsilons)]):
             diff = pert.samples - base.samples
             mean = float(np.mean(diff))
             stderr = float(np.std(diff, ddof=1) / math.sqrt(paths))
@@ -359,10 +361,10 @@ def test_criterion_13_reproducibility_and_stderr_scaling():
     ric = solve_auxiliary_riccati(aug, prob, i, grid)
     offset = solve_offset_tilde(aug, ric, prob.xi, grid)
     cfg = SimConfig(steps=1000, paths=5000, base_seed=778, store_paths=1)
-    pen_a = simulate_penalized_forward(aug, ric, offset, ("synthesized",),
-                                       prob, i, cfg)
-    pen_b = simulate_penalized_forward(aug, ric, offset, ("synthesized",),
-                                       prob, i, cfg)
+    [pen_a] = simulate_penalized_forward(aug, ric, offset, [("synthesized",)],
+                                         prob, i, cfg)
+    [pen_b] = simulate_penalized_forward(aug, ric, offset, [("synthesized",)],
+                                         prob, i, cfg)
     assert np.array_equal(pen_a.samples, pen_b.samples)
 
     _, small = mc_pipeline(prob, 1000, 1000, paths=5000, seed=777)

@@ -1,11 +1,14 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fblq.cli import main
 from fblq.errors import ParseError
+from fblq.odes import TimeGrid
 from fblq.problem_io import load_problem, problem_from_dict
+from fblq.riccati import build_augmented, solve_auxiliary_riccati
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -115,6 +118,21 @@ def test_solve_q_requires_positive_control_weight(tmp_path):
     assert code == 2
 
 
+def test_solve_riccati_writes_numeric_m1_trace(tmp_path):
+    path = PROBLEMS / "partially_coupled_example.yaml"
+    code = run(tmp_path, "solve", str(path), "--method", "riccati", "--schedule", "4",
+               "--grid", "100")
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "m1_min_eig.csv", delimiter=",", skiprows=1)
+    prob = load_problem(path)
+    grid = TimeGrid(prob.T, 100)
+    ric = solve_auxiliary_riccati(build_augmented(prob), prob, 4, grid)
+    assert rows.shape == (grid.steps + 1, 2)
+    assert np.all(np.isfinite(rows))
+    assert np.array_equal(rows[:, 0], grid.nodes)
+    assert np.array_equal(rows[:, 1], ric.m1_min_eig)
+
+
 def test_grid_must_align_with_breakpoints(tmp_path):
     code = run(tmp_path, "solve", str(PROBLEMS / "piecewise_demo.yaml"),
                "--method", "direct", "--schedule", "exact", "--grid", "501")
@@ -179,3 +197,19 @@ def test_verify_all_suites_end_to_end(tmp_path):
     assert all(r["passed"] for r in rows)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert any("special suite skipped" in note for note in manifest["notes"])
+
+
+@pytest.mark.parametrize("name,expected", [
+    ("allzero_smoke", 0),
+    ("backward_lq", 3),                # P_tilde singular at t = T (G = F = 0)
+    ("deterministic_coupled", 0),
+    ("forward_lq", 0),
+    ("fully_coupled_example", 0),
+    ("indefinite_weight_example", 3),  # M1 side condition fails near T
+    ("partially_coupled_example", 0),
+    ("piecewise_demo", 0),
+])
+def test_verify_optimality_exit_codes(tmp_path, name, expected):
+    code = run(tmp_path, "verify", str(PROBLEMS / f"{name}.yaml"),
+               "--suite", "optimality", "--grid", "100", "--paths", "200")
+    assert code == expected

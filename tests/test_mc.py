@@ -10,6 +10,7 @@ from conftest import (
     make_smoke,
 )
 from fblq.decouple import EXACT, integrate_direct
+from fblq.errors import DivergedError
 from fblq.feedback import closed_loop_coefficients, evaluate_gain_table, synthesize
 from fblq.mc import (
     SimConfig,
@@ -46,6 +47,18 @@ def test_increments_are_per_path_keyed():
     block = increment_block(123, 5, 4, 50, 0.01)
     assert np.array_equal(block[2], a)
     assert np.array_equal(brownian_increments(123 + 7, 0, 50, 0.01), a)
+
+
+@pytest.mark.parametrize("base_seed", [
+    20240801,                # keys below 2**64
+    (1 << 64) - 3,           # keys crossing into the second key word
+    (1 << 100) + 12345,      # keys above 2**64
+    (1 << 128) - 4,          # keys wrapping at 2**128
+])
+def test_increment_block_matches_per_path_streams(base_seed):
+    block = increment_block(base_seed, 1, 8, 33, 0.02)
+    for r in range(8):
+        assert np.array_equal(block[r], brownian_increments(base_seed, 1 + r, 33, 0.02))
 
 
 def test_zero_dynamics_paths(grid1000):
@@ -226,39 +239,87 @@ def penalized_setup(prob, i, steps, seed, paths):
     return aug, ric, offset, cfg
 
 
+def probe_controls(seed, dim):
+    """The optimality probe's 31 controls: the synthesized feedback, then 10
+    random unit directions at eps = 0.05, 0.1 and 0.2."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    controls = [("synthesized",)]
+    for _ in range(10):
+        d = rng.standard_normal(dim)
+        d /= np.linalg.norm(d)
+        controls += [("perturbed", eps, d) for eps in (0.05, 0.1, 0.2)]
+    return controls
+
+
 def test_penalized_zero_perturbation_is_identity():
     prob = make_partially_coupled()
     aug, ric, offset, cfg = penalized_setup(prob, 8, 500, 13, 200)
-    base = simulate_penalized_forward(aug, ric, offset, ("synthesized",), prob, 8, cfg)
-    zero = simulate_penalized_forward(
-        aug, ric, offset, ("perturbed", 0.0, np.array([1.0, 0.0])), prob, 8, cfg)
+    base, zero = simulate_penalized_forward(
+        aug, ric, offset, [("synthesized",), ("perturbed", 0.0, np.array([1.0, 0.0]))],
+        prob, 8, cfg)
     assert np.array_equal(base.samples, zero.samples)
+
+
+def test_penalized_batch_equals_single_runs():
+    prob = make_partially_coupled()
+    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 18, 300)
+    controls = probe_controls(19, aug.control_dim)
+    batch = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+    assert len(batch) == len(controls)
+    for control, cost in zip(controls, batch):
+        [single] = simulate_penalized_forward(aug, ric, offset, [control], prob, 8, cfg)
+        assert np.array_equal(cost.samples, single.samples)
+        assert (cost.mean, cost.stderr) == (single.mean, single.stderr)
+
+
+def test_penalized_batch_is_chunk_invariant():
+    prob = make_partially_coupled()
+    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
+    controls = probe_controls(21, aug.control_dim)
+    full = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+    chunked = simulate_penalized_forward(
+        aug, ric, offset, controls, prob, 8,
+        SimConfig(steps=cfg.steps, paths=cfg.paths, base_seed=cfg.base_seed,
+                  store_paths=1, chunk=37))
+    for a, b in zip(full, chunked):
+        assert np.array_equal(a.samples, b.samples)
+
+
+def test_penalized_divergence_names_control_and_path():
+    prob = make_partially_coupled()
+    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 22, 50)
+    blowup = ("perturbed", 1e300, np.full((cfg.steps + 1, aug.control_dim), 1e300))
+    with pytest.raises(DivergedError) as err, np.errstate(over="ignore", invalid="ignore"):
+        simulate_penalized_forward(aug, ric, offset, [("synthesized",), blowup],
+                                   prob, 8, cfg)
+    assert "control 1, path 0 at step" in str(err.value)
 
 
 def test_penalized_perturbations_never_win():
     prob = make_partially_coupled()
     aug, ric, offset, cfg = penalized_setup(prob, 8, 500, 14, 2000)
-    base = simulate_penalized_forward(aug, ric, offset, ("synthesized",), prob, 8, cfg)
     rng = np.random.Generator(np.random.Philox(key=15))
+    controls = [("synthesized",)]
     for _ in range(4):
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
-        for eps in (0.05, 0.2):
-            pert = simulate_penalized_forward(
-                aug, ric, offset, ("perturbed", eps, d), prob, 8, cfg)
-            diff = pert.samples - base.samples
-            stderr = np.std(diff, ddof=1) / np.sqrt(len(diff))
-            assert np.mean(diff) >= -3.0 * stderr
+        controls += [("perturbed", eps, d) for eps in (0.05, 0.2)]
+    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+    for pert in perturbed:
+        diff = pert.samples - base.samples
+        stderr = np.std(diff, ddof=1) / np.sqrt(len(diff))
+        assert np.mean(diff) >= -3.0 * stderr
 
 
 def test_penalized_gap_matches_quadratic_prediction():
     prob = make_partially_coupled()
     aug, ric, offset, cfg = penalized_setup(prob, 8, 2000, 16, 4000)
-    base = simulate_penalized_forward(aug, ric, offset, ("synthesized",), prob, 8, cfg)
     d = np.array([0.6, 0.8])
-    for eps in (0.1, 0.2):
-        pert = simulate_penalized_forward(
-            aug, ric, offset, ("perturbed", eps, d), prob, 8, cfg)
+    epsilons = (0.1, 0.2)
+    base, *perturbed = simulate_penalized_forward(
+        aug, ric, offset, [("synthesized",)] + [("perturbed", eps, d) for eps in epsilons],
+        prob, 8, cfg)
+    for eps, pert in zip(epsilons, perturbed):
         diff = pert.samples - base.samples
         stderr = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
         pred = penalized_gap_prediction(aug, ric, eps, d, cfg, prob)

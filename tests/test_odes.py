@@ -115,6 +115,18 @@ def test_interpolate_domain_error():
     path = constant_path(TimeGrid(1.0, 4), np.eye(1))
     with pytest.raises(DomainError):
         interpolate(path, 1.5)
+    with pytest.raises(DomainError):
+        path.on_grid(TimeGrid(1.5, 4))
+
+
+@pytest.mark.parametrize("T,steps", [(1.0, 100), (0.7, 333), (3.0, 7)])
+def test_on_grid_matches_interpolate_bitwise(T, steps):
+    grid = TimeGrid(T, steps)
+    values = np.random.default_rng(steps).standard_normal((steps + 1, 2, 3))
+    path = MatrixPath(grid, values)
+    for target in (grid, grid.refined(3)):
+        expected = np.stack([interpolate(path, t) for t in target.nodes])
+        assert np.array_equal(path.on_grid(target), expected)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0), st.floats(-5, 5), st.floats(-5, 5))
