@@ -7,6 +7,8 @@ which is cheap and adequate against a 1e10 threshold.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SingularCoefficientError
@@ -28,11 +30,28 @@ def asymmetry(mat: np.ndarray) -> float:
 
 
 def min_eig_sym(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a (symmetrized) matrix."""
+    """Smallest eigenvalue of a (symmetrized) matrix.
+
+    Dimensions one and two take closed forms, as in gated_inverse: side
+    conditions call this at every integration stage.
+    """
+    d = mat.shape[0]
+    if d == 1:
+        return float(mat[0, 0])
+    if d == 2:
+        a, c = float(mat[0, 0]), float(mat[1, 1])
+        b = 0.5 * (float(mat[0, 1]) + float(mat[1, 0]))
+        return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
     return float(np.linalg.eigvalsh(sym(mat))[0])
 
 
 def _norm1(mat: np.ndarray) -> float:
+    d = mat.shape[0]
+    if d == 1:
+        return abs(float(mat[0, 0]))
+    if d == 2:
+        return max(abs(float(mat[0, 0])) + abs(float(mat[1, 0])),
+                   abs(float(mat[0, 1])) + abs(float(mat[1, 1])))
     return float(np.abs(mat).sum(axis=0).max())
 
 

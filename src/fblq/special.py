@@ -84,13 +84,14 @@ def solve_lq_reference(problem: FBLQProblem, grid: TimeGrid) -> tuple[MatrixPath
     def rhs(t, blocks):
         s = problem.snapshot(t)
         P = blocks["P"]
+        PA2 = P @ s.A2
         W = s.D4 + s.D2.T @ P @ s.D2
         low = min_eig_sym(W)
         if low < SIDE_CONDITION_MARGIN:
             raise ConstraintViolatedError("D4 + D2'P D2", t, low)
-        S = s.D1.T @ P + s.D2.T @ P @ s.A2
+        S = s.D1.T @ P + s.D2.T @ PA2
         W_inv, _ = gated_inverse(W, "D4 + D2'P D2")
-        return {"P": -(s.A1.T @ P + P @ s.A1 + s.A4 + s.A2.T @ P @ s.A2
+        return {"P": -(s.A1.T @ P + P @ s.A1 + s.A4 + s.A2.T @ PA2
                        - S.T @ W_inv @ S)}
 
     system = OdeSystem(

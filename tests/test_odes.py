@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fblq.errors import DivergedError, DomainError
+from fblq.linalg import _norm1, min_eig_sym, sym
 from fblq.odes import (
     MatrixPath,
     OdeSystem,
@@ -58,6 +59,28 @@ def test_backward_blowup_detected():
     with pytest.raises(DivergedError) as err:
         integrate_terminal(system, TimeGrid(1.0, 1000))
     assert 0.5 <= err.value.time < 0.6
+
+
+@pytest.mark.parametrize("bad, reason", [(np.nan, "non-finite"),
+                                         (np.inf, "non-finite"),
+                                         (1e300, "exceeded")])
+def test_nonfinite_and_blowup_terminal_named(bad, reason):
+    system = OdeSystem(layout=(("p", (2, 2)),), rhs=lambda t, b: b,
+                       terminal={"p": np.array([[1.0, 0.0], [0.0, bad]])})
+    with pytest.raises(DivergedError, match=reason):
+        integrate_terminal(system, TimeGrid(1.0, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3),
+       st.lists(st.floats(-1e3, 1e3), min_size=9, max_size=9))
+def test_small_closed_forms_match_lapack(d, entries):
+    # min_eig_sym and the 1-norm take closed forms for d <= 2
+    mat = np.array(entries).reshape(3, 3)[:d, :d]
+    low = np.linalg.eigvalsh(sym(mat))[0]
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    assert abs(min_eig_sym(mat) - low) <= 1e-12 * scale
+    assert _norm1(mat) == float(np.abs(mat).sum(axis=0).max())
 
 
 def test_rhs_shape_mismatch_rejected():
