@@ -38,6 +38,7 @@ from .decouple import (
     DEFAULT_LIMIT_TOL,
     DEFAULT_SCHEDULE,
     EXACT,
+    gain_condition_trace,
     identity_suite,
     integrate_direct,
     iterate_limit,
@@ -63,7 +64,7 @@ from .mc import (
     stationarity_residual,
 )
 from .model import LEVELS, LEVEL_BOUNDED, LEVEL_STRICT, validate
-from .odes import DEFAULT_STEPS as DEFAULT_GRID, TimeGrid, path_to_csv
+from .odes import DEFAULT_STEPS as DEFAULT_GRID, TimeGrid, path_to_csv, write_csv
 from .problem_io import load_problem
 from .riccati import build_augmented, solve_auxiliary_riccati, solve_offset_tilde
 from .special import (
@@ -122,10 +123,11 @@ def _load(args):
     return problem, grid
 
 
-def _write_path_csv(outdir: Path, name: str, path, manifest: RunManifest):
-    target = outdir / f"{name}.csv"
-    path_to_csv(path, target)
+def _output(outdir: Path, name: str, manifest: RunManifest) -> Path:
+    """Path of output file ``name``, recorded in the manifest."""
+    target = outdir / name
     manifest.outputs.append(str(target))
+    return target
 
 
 def _parse_schedule(text: str):
@@ -188,18 +190,6 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
     raise DomainError(f"unknown method {method!r}")
 
 
-def _gain_condition_trace(problem, sol, samples: int = 65):
-    from .decouple import _gains
-    idx = np.unique(np.linspace(0, sol.grid.steps, samples).astype(int))
-    rows = []
-    for j in idx:
-        P1, P2, P3, phi1, phi2 = sol.at_node(int(j))
-        g = _gains(problem.snapshot(float(sol.grid.nodes[j])), P1, P2, P3,
-                   phi1, phi2, n=problem.n, m=problem.m)
-        rows.append((float(sol.grid.nodes[j]), g.cond_L1, g.cond_L2, g.cond_L5))
-    return rows
-
-
 def cmd_solve(args) -> int:
     manifest = RunManifest(
         "solve",
@@ -215,27 +205,19 @@ def cmd_solve(args) -> int:
         q = extras["q"]
         for name, path in (("Q", q.Q), ("K", q.K), ("J", q.J), ("I", q.Iblk),
                            ("phi", q.phi)):
-            _write_path_csv(outdir, name, path, manifest)
+            path_to_csv(path, _output(outdir, f"{name}.csv", manifest))
         manifest.notes.append("blocks: Q = [[Q1, Q2], [Q3, -Q4]]")
     else:
         for name in ("P1", "P2", "P3", "phi1", "phi2"):
-            _write_path_csv(outdir, name, getattr(sol, name), manifest)
+            path_to_csv(getattr(sol, name), _output(outdir, f"{name}.csv", manifest))
         manifest.notes.append(f"source: {sol.source.label()}")
         if "riccati" in extras:
-            ric = extras["riccati"]
-            trace = outdir / "m1_min_eig.csv"
-            with open(trace, "w", encoding="utf-8") as fh:
-                fh.write("t,m1_min_eig\n")
-                for t, v in zip(grid.nodes, ric.m1_min_eig):
-                    fh.write(f"{float(t)!r},{float(v)!r}\n")
-            manifest.outputs.append(str(trace))
-        conds = _gain_condition_trace(problem, sol)
-        trace = outdir / "condition_trace.csv"
-        with open(trace, "w", encoding="utf-8") as fh:
-            fh.write("t,cond_L1,cond_L2,cond_L5\n")
-            for row in conds:
-                fh.write(",".join(repr(x) for x in row) + "\n")
-        manifest.outputs.append(str(trace))
+            m1 = np.column_stack([grid.nodes, extras["riccati"].m1_min_eig])
+            write_csv(_output(outdir, "m1_min_eig.csv", manifest), ["t", "m1_min_eig"],
+                      m1.tolist())
+        write_csv(_output(outdir, "condition_trace.csv", manifest),
+                  ["t", "cond_L1", "cond_L2", "cond_L5"],
+                  gain_condition_trace(problem, sol, 65).tolist())
         if "diagnostics" in extras:
             diag = extras["diagnostics"]
             payload = {
@@ -290,38 +272,23 @@ def cmd_simulate(args) -> int:
     stat_max, stat_mean = stationarity_residual(problem, batch, sol)
     outdir = _outdir(args)
 
-    traj = outdir / "trajectory_bands.csv"
-    with open(traj, "w", encoding="utf-8") as fh:
-        heads = ["t"]
-        heads += [f"mean_X_{q}" for q in range(problem.n)]
-        heads += [f"sem_X_{q}" for q in range(problem.n)]
-        heads += [f"mean_h_{q}" for q in range(problem.m)]
-        heads += [f"sem_h_{q}" for q in range(problem.m)]
-        fh.write(",".join(heads) + "\n")
-        for j, t in enumerate(sim_grid.nodes):
-            row = [repr(float(t))]
-            row += [repr(float(x)) for x in batch.node_mean["X"][j]]
-            row += [repr(float(x)) for x in batch.node_sem["X"][j]]
-            row += [repr(float(x)) for x in batch.node_mean["h"][j]]
-            row += [repr(float(x)) for x in batch.node_sem["h"][j]]
-            fh.write(",".join(row) + "\n")
-    manifest.outputs.append(str(traj))
+    n, m, k = problem.n, problem.m, problem.k
+    heads = ["t"]
+    heads += [f"mean_X_{q}" for q in range(n)]
+    heads += [f"sem_X_{q}" for q in range(n)]
+    heads += [f"mean_h_{q}" for q in range(m)]
+    heads += [f"sem_h_{q}" for q in range(m)]
+    bands = np.column_stack([sim_grid.nodes, batch.node_mean["X"], batch.node_sem["X"],
+                             batch.node_mean["h"], batch.node_sem["h"]])
+    write_csv(_output(outdir, "trajectory_bands.csv", manifest), heads, bands.tolist())
 
-    gains = outdir / "gains.csv"
-    with open(gains, "w", encoding="utf-8") as fh:
-        n, m, k = problem.n, problem.m, problem.k
-        heads = ["t"]
-        heads += [f"gain_X_{a}_{b}" for a in range(k) for b in range(n)]
-        heads += [f"gain_h_{a}_{b}" for a in range(k) for b in range(m)]
-        heads += [f"offset_{a}" for a in range(k)]
-        fh.write(",".join(heads) + "\n")
-        for j, t in enumerate(sim_grid.nodes):
-            row = [repr(float(t))]
-            row += [repr(float(x)) for x in law.xh_gain_X[j].reshape(-1)]
-            row += [repr(float(x)) for x in law.xh_gain_h[j].reshape(-1)]
-            row += [repr(float(x)) for x in law.xh_offset[j]]
-            fh.write(",".join(row) + "\n")
-    manifest.outputs.append(str(gains))
+    heads = ["t"]
+    heads += [f"gain_X_{a}_{b}" for a in range(k) for b in range(n)]
+    heads += [f"gain_h_{a}_{b}" for a in range(k) for b in range(m)]
+    heads += [f"offset_{a}" for a in range(k)]
+    gains = np.column_stack([sim_grid.nodes, law.xh_gain_X.reshape(steps + 1, -1),
+                             law.xh_gain_h.reshape(steps + 1, -1), law.xh_offset])
+    write_csv(_output(outdir, "gains.csv", manifest), heads, gains.tolist())
 
     payload = cost.as_dict()
     payload.update({"stationarity_max": stat_max, "stationarity_mean": stat_mean})
@@ -338,19 +305,16 @@ def cmd_simulate(args) -> int:
         manifest.notes.append(
             "identity summary skipped: control weights not strictly positive")
     if args.export_paths:
-        cap = min(batch.stored, args.export_paths)
-        per_path = outdir / "paths.csv"
-        with open(per_path, "w", encoding="utf-8") as fh:
-            fh.write("path,t," + ",".join(
-                f"{nm}_{q}" for nm in ("X", "h", "Y", "Z", "u")
-                for q in range(batch.trajectories[nm].shape[2])) + "\n")
-            for p in range(cap):
-                for j, t in enumerate(sim_grid.nodes):
-                    cells = [str(p), repr(float(t))]
-                    for nm in ("X", "h", "Y", "Z", "u"):
-                        cells += [repr(float(x)) for x in batch.trajectories[nm][p, j]]
-                    fh.write(",".join(cells) + "\n")
-        manifest.outputs.append(str(per_path))
+        names = ("X", "h", "Y", "Z", "u")
+        heads = ["path", "t"] + [f"{nm}_{q}" for nm in names
+                                 for q in range(batch.trajectories[nm].shape[2])]
+
+        def rows():  # one path at a time: the stored block can be large
+            for p in range(min(batch.stored, args.export_paths)):
+                path = np.column_stack([sim_grid.nodes,
+                                        *(batch.trajectories[nm][p] for nm in names)])
+                yield from ([p, *row] for row in path.tolist())
+        write_csv(_output(outdir, "paths.csv", manifest), heads, rows())
 
     text_lines = [f"{k} = {v}" for k, v in payload.items()]
     report_txt = outdir / "cost_report.txt"
@@ -400,16 +364,9 @@ def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
                        worst <= 1e-8)]
 
 
-def _suite_monotone(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64),
-                    threads: int = 1) -> list[SuiteCheck]:
+def _suite_monotone(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64)) -> list[SuiteCheck]:
     checks = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(zip(schedule, pool.map(
-                lambda i: integrate_direct(problem, i, grid), schedule)))
-    else:
-        sols = [(i, integrate_direct(problem, i, grid)) for i in schedule]
+    sols = [(i, integrate_direct(problem, i, grid)) for i in schedule]
     worst_p3 = worst_p1 = worst_p3_psd = worst_p1_psd = np.inf
     for (ia, sa), (ib, sb) in zip(sols, sols[1:]):
         d3 = sa.P3.values - sb.P3.values
@@ -518,7 +475,7 @@ def cmd_verify(args) -> int:
     if wanted in ("identities", "all"):
         checks += _suite_identities(problem, grid, rng)
     if wanted in ("monotone", "all"):
-        checks += _suite_monotone(problem, grid, threads=args.threads)
+        checks += _suite_monotone(problem, grid)
     if wanted in ("rate", "all"):
         checks += _suite_rate(problem, grid)
     if wanted in ("special", "all"):
@@ -555,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="uniform grid steps (default %(default)s)")
         p.add_argument("--output-dir", default=None,
                        help="output directory (default $FBLQ_OUTPUT_DIR or ./fblq_out)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sub-solves")
 
     p = sub.add_parser("validate", help="check the standing assumptions")
     common(p)

@@ -534,7 +534,7 @@ class LimitDiagnostics:
     p2_bound: float                    # max |P2_i| seen along the sweep
     p1_bound: float                    # max |P1_i| seen along the sweep
     p3_min_eig: float                  # most negative eigenvalue of any P3_i
-    gain_cond_bound: float             # worst sampled condition of L1/L2/L5
+    gain_cond_bound: float             # worst condition of L1/L2/L5 over 33 nodes
     iterates: tuple = ()               # (index, DecoupledSolution) pairs
 
 
@@ -561,15 +561,21 @@ def _solution_diff(a: DecoupledSolution, b: DecoupledSolution,
     return float(np.max(per_node))
 
 
-def _sampled_gain_cond(problem: FBLQProblem, sol: DecoupledSolution, samples: int = 33) -> float:
-    worst = 0.0
+def gain_condition_trace(problem: FBLQProblem, sol: DecoupledSolution,
+                         samples: int) -> np.ndarray:
+    """Rows (t, cond L1, cond L2, cond L5) at ``samples`` evenly spaced nodes.
+
+    The three inverses depend on the blocks only, so the offsets are left
+    out of the gain evaluation.
+    """
     idx = np.unique(np.linspace(0, sol.grid.steps, samples).astype(int))
-    for j in idx:
+    rows = np.empty((len(idx), 4))
+    for r, j in enumerate(idx):
         P1, P2, P3, _, _ = sol.at_node(j)
-        g = _gains(problem.snapshot(sol.grid.nodes[j]), P1, P2, P3,
-                   n=problem.n, m=problem.m)
-        worst = max(worst, g.cond_L1, g.cond_L2, g.cond_L5)
-    return worst
+        t = float(sol.grid.nodes[j])
+        g = _gains(problem.snapshot(t), P1, P2, P3, n=problem.n, m=problem.m)
+        rows[r] = t, g.cond_L1, g.cond_L2, g.cond_L5
+    return rows
 
 
 def fit_rate_exponent(indices, diffs, tail: bool = True) -> float | None:
@@ -641,7 +647,8 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
         p2_bound = max(p2_bound, float(np.max(np.abs(cur.P2.values))))
         p1_bound = max(p1_bound, float(np.max(np.abs(cur.P1.values))))
         p3_min = min(p3_min, min(min_eig_sym(v) for v in cur.P3.values))
-        cond_bound = max(cond_bound, _sampled_gain_cond(problem, cur))
+        conds = gain_condition_trace(problem, cur, 33)[:, 1:]
+        cond_bound = max(cond_bound, float(conds.max()))
         if measure_rate:
             consecutive.append(_solution_diff(cur, solve_one(i + 1)))
         if prev is not None:
@@ -807,47 +814,6 @@ def solve_q_equation(problem: FBLQProblem, grid: TimeGrid) -> QSolution:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IdentityWorkspace:
-    """Intermediate block quantities entering the cross-route identities.
-
-    Naming follows the internal block decompositions: (a, b, c, d) are the
-    blocks of the transposed mixed weight, (a11, a21, a22) the blocks of the
-    inverse effective control weight, the *_t quantities the blocks of B'P
-    and the *_b quantities the blocks of D'P for the augmented problem. The
-    d_b block carries the full bottom-right entry C2'Pt2' + Pt3 (the direct
-    product block; dropping Pt3 breaks the C2-recovery identity).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    a11: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    D: np.ndarray
-    a_t: np.ndarray
-    b_t: np.ndarray
-    c_t: np.ndarray
-    d_t: np.ndarray
-    a_b: np.ndarray
-    b_b: np.ndarray
-    c_b: np.ndarray
-    d_b: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    beta1: np.ndarray
-    beta2: np.ndarray
-    beta3: np.ndarray
-    beta4: np.ndarray
-    beta5: np.ndarray
-    beta6: np.ndarray
-    beta7: np.ndarray
-    beta8: np.ndarray
-    beta_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
 class IdentityEntry:
     name: str
     residual: float
@@ -880,52 +846,6 @@ def _residual(lhs, rhs) -> float:
     return float(np.max(np.abs(np.asarray(lhs) - np.asarray(rhs))))
 
 
-def build_identity_workspace(problem: FBLQProblem, t: float, P1, P2, P3,
-                             Pt1, Pt2, Pt3, phi1, phi2,
-                             g: GainCoefficients) -> IdentityWorkspace:
-    s = problem.snapshot(t)
-    cb = s.C2.T @ Pt1 + Pt2                       # m x n
-    D = s.C4 + cb @ s.C2 + s.C2.T @ Pt2.T + Pt3   # m x m
-    D_inv, _ = gated_inverse(D, "D_blocks")
-    core = s.D4 + s.D2.T @ Pt1 @ s.D2 - s.D2.T @ cb.T @ D_inv @ cb @ s.D2
-    a11, _ = gated_inverse(core, "a11_core")
-    a21 = -D_inv @ cb @ s.D2 @ a11
-    a22 = D_inv + D_inv @ cb @ s.D2 @ a11 @ s.D2.T @ cb.T @ D_inv
-    P1_inv, _ = gated_inverse(P1, "P1")
-    L1_inv = g.L1_inv
-    L2_inv = g.L2_inv
-    return IdentityWorkspace(
-        a=Pt1 @ s.D1 - Pt2.T @ s.D3 + s.A2.T @ Pt1 @ s.D2,
-        b=Pt1 @ s.C1 - Pt2.T @ s.C3 + s.A2.T @ Pt1 @ s.C2 + s.A2.T @ Pt2.T,
-        c=Pt2 @ s.D1 - Pt3 @ s.D3 + s.B2.T @ Pt1 @ s.D2,
-        d=Pt2 @ s.C1 - Pt3 @ s.C3 + s.B2.T @ Pt1 @ s.C2 + s.B2.T @ Pt2.T,
-        a11=a11, a21=a21, a22=a22, D=D,
-        a_t=s.D1.T @ Pt1 - s.D3.T @ Pt2,
-        b_t=s.D1.T @ Pt2.T - s.D3.T @ Pt3,
-        c_t=s.C1.T @ Pt1 - s.C3.T @ Pt2,
-        d_t=s.C1.T @ Pt2.T - s.C3.T @ Pt3,
-        a_b=s.D2.T @ Pt1,
-        b_b=s.D2.T @ Pt2.T,
-        c_b=cb,
-        d_b=s.C2.T @ Pt2.T + Pt3,
-        lambda1=-(s.D1.T @ phi1 + s.D2.T @ (L2_inv @ g.S2)),
-        lambda2=-(s.D1.T @ P2.T + s.D2.T @ L2_inv @ g.L4 + s.D3.T),
-        beta1=D_inv @ (s.C1.T @ Pt1 - s.C3.T @ Pt2) @ P1_inv
-              + D_inv @ (s.C1.T @ Pt2.T - s.C3.T @ Pt3) @ P2 @ P1_inv,
-        beta2=D_inv @ cb @ s.B2,
-        beta3=D_inv @ (cb @ P1_inv + (s.C2.T @ Pt2.T + Pt3) @ P2 @ P1_inv),
-        beta4=-D_inv @ (s.C2.T @ Pt2.T + Pt3),
-        beta5=L2_inv @ (P2.T @ s.C1.T
-                        - (P1 @ s.C2 + P2.T @ s.C4) @ L1_inv @ P3 @ s.C1.T),
-        beta6=L2_inv @ (P1 @ s.B2
-                        + (P1 @ s.C2 + P2.T @ s.C4) @ L1_inv @ P2 @ s.B2),
-        beta7=L2_inv,
-        beta8=L2_inv @ (P1 @ s.C2 + P2.T @ s.C4) @ L1_inv,
-        beta_tilde=D_inv @ (Pt2 @ s.C1 - Pt3 @ s.C3 + s.B2.T @ Pt1 @ s.C2
-                            + s.B2.T @ Pt2.T).T @ P3,
-    )
-
-
 def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
                    riccati_i: RiccatiSolution, t: float) -> IdentityReport:
     """Evaluate the cross-route block identities at the grid node nearest t.
@@ -954,13 +874,33 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     Pt = riccati_i.Ptilde.at_node(j)
     Pt1, Pt2, Pt3 = Pt[:n, :n], Pt[n:, :n], Pt[n:, n:]
     g = _gains(s, P1, P2, P3, phi1, phi2, n=n, m=m)
-    w = build_identity_workspace(problem, t_node, P1, P2, P3, Pt1, Pt2, Pt3,
-                                 phi1, phi2, g)
+    cb = s.C2.T @ Pt1 + Pt2                       # m x n
+    D = s.C4 + cb @ s.C2 + s.C2.T @ Pt2.T + Pt3   # m x m
+    D_inv, _ = gated_inverse(D, "D_blocks")
+    # blocks of the inverse effective control weight
+    core = s.D4 + s.D2.T @ Pt1 @ s.D2 - s.D2.T @ cb.T @ D_inv @ cb @ s.D2
+    a11, _ = gated_inverse(core, "a11_core")
+    a21 = -D_inv @ cb @ s.D2 @ a11
+    a22 = D_inv + D_inv @ cb @ s.D2 @ a11 @ s.D2.T @ cb.T @ D_inv
     P1_inv, _ = gated_inverse(P1, "P1")
     P3_inv, _ = gated_inverse(P3, "P3")
     Pt3_inv, _ = gated_inverse(Pt3, "P3_tilde")
-    D_inv, _ = gated_inverse(w.D, "D_blocks")
-    cb = w.c_b
+    # blocks of the transposed mixed weight
+    a = Pt1 @ s.D1 - Pt2.T @ s.D3 + s.A2.T @ Pt1 @ s.D2
+    b = Pt1 @ s.C1 - Pt2.T @ s.C3 + s.A2.T @ Pt1 @ s.C2 + s.A2.T @ Pt2.T
+    c = Pt2 @ s.D1 - Pt3 @ s.D3 + s.B2.T @ Pt1 @ s.D2
+    d = Pt2 @ s.C1 - Pt3 @ s.C3 + s.B2.T @ Pt1 @ s.C2 + s.B2.T @ Pt2.T
+    # blocks of B'P (*_t) and D'P (*_b) for the augmented problem; d_b carries
+    # the full bottom-right entry C2'Pt2' + Pt3 (the direct product block;
+    # dropping Pt3 breaks the C2-recovery identity)
+    a_t = s.D1.T @ Pt1 - s.D3.T @ Pt2
+    b_t = s.D1.T @ Pt2.T - s.D3.T @ Pt3
+    c_t = s.C1.T @ Pt1 - s.C3.T @ Pt2
+    d_t = s.C1.T @ Pt2.T - s.C3.T @ Pt3
+    a_b = s.D2.T @ Pt1
+    b_b = s.D2.T @ Pt2.T
+    d_b = s.C2.T @ Pt2.T + Pt3
+    W = P1 @ s.C2 + P2.T @ s.C4  # the gain family's recurring mixed weight
     entries: list[IdentityEntry] = []
 
     def add(name, lhs, rhs, counted=True, note=""):
@@ -970,38 +910,38 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     phit1 = -P1_inv @ phi1
     phit2 = phi2 - P2 @ (P1_inv @ phi1)
 
-    add("mixed-weight/L1-complement", P3 @ s.C2.T @ cb.T, P3 @ w.D - g.L1)
+    add("mixed-weight/L1-complement", P3 @ s.C2.T @ cb.T, P3 @ D - g.L1)
     add("mixed-weight/inverse-swap", cb.T @ D_inv, g.L2_inv @ cb.T @ g.L1_inv @ P3)
-    add("mixed-weight/d-reduction", P3 @ w.d, -(P2 @ s.C1 + s.C3) + P3 @ s.B2.T @ cb.T)
+    add("mixed-weight/d-reduction", P3 @ d, -(P2 @ s.C1 + s.C3) + P3 @ s.B2.T @ cb.T)
     add("effective-weight/S1", g.L2_inv @ g.S1, Pt1 - cb.T @ D_inv @ cb)
-    add("effective-weight/control-inverse", w.a11, g.L5_inv)
+    add("effective-weight/control-inverse", a11, g.L5_inv)
     add("effective-weight/state-gain", g.L2_inv @ g.L3,
         (Pt1 - cb.T @ D_inv @ cb) @ (s.A2 + s.B2 @ P2)
         - cb.T @ D_inv @ s.C1.T @ P1)
     add("effective-weight/adjoint-gain", g.L2_inv @ g.L4,
-        cb.T @ D_inv @ w.d.T @ Pt3_inv - Pt1 @ s.B2 @ Pt3_inv)
-    add("mixed-weight/diffusion-column", w.b.T + w.d.T @ P2, cb @ (s.A2 + s.B2 @ P2) + s.C1.T @ P1)
-    add("mixed-weight/control-column", w.a.T + w.c.T @ P2,
+        cb.T @ D_inv @ d.T @ Pt3_inv - Pt1 @ s.B2 @ Pt3_inv)
+    add("mixed-weight/diffusion-column", b.T + d.T @ P2, cb @ (s.A2 + s.B2 @ P2) + s.C1.T @ P1)
+    add("mixed-weight/control-column", a.T + c.T @ P2,
         s.D1.T @ P1 + s.D2.T @ Pt1 @ (s.A2 + s.B2 @ P2))
-    add("block-recovery/D2", (w.a_b + w.b_b @ P2) @ P1_inv, s.D2.T)
-    add("block-recovery/C2", (w.c_b + w.d_b @ P2) @ P1_inv, s.C2.T)
-    add("block-recovery/D1", (w.a_t + w.b_t @ P2) @ P1_inv, s.D1.T)
-    add("block-recovery/C1", (w.c_t + w.d_t @ P2) @ P1_inv, s.C1.T)
+    add("block-recovery/D2", (a_b + b_b @ P2) @ P1_inv, s.D2.T)
+    add("block-recovery/C2", (cb + d_b @ P2) @ P1_inv, s.C2.T)
+    add("block-recovery/D1", (a_t + b_t @ P2) @ P1_inv, s.D1.T)
+    add("block-recovery/C1", (c_t + d_t @ P2) @ P1_inv, s.C1.T)
     add("block-recovery/stacked-mixed", g.L1_inv @ (P2 - P3 @ s.C2.T @ g.L2_inv @ g.S1), -D_inv @ cb)
     add("block-recovery/stacked-mixed-T",
-        g.L2_inv @ (P2.T - (P1 @ s.C2 + P2.T @ s.C4) @ g.L1_inv @ P3),
+        g.L2_inv @ (P2.T - W @ g.L1_inv @ P3),
         -cb.T @ D_inv)
     add("block-recovery/P2-ratio", (Pt1 @ s.C2 + Pt2.T - P1 @ s.C2 - P2.T @ s.C4) @ g.L1_inv,
         -P2.T @ P3_inv)
     add("block-recovery/D-L1-P3",
         np.eye(m) - s.C2.T @ P2.T
-        + s.C2.T @ (P1 @ s.C2 + P2.T @ s.C4) @ g.L1_inv @ P3,
-        w.D @ g.L1_inv @ P3)
+        + s.C2.T @ W @ g.L1_inv @ P3,
+        D @ g.L1_inv @ P3)
 
-    gain_u_X = -(w.a11 @ (w.a.T + w.c.T @ P2) + w.a21.T @ (w.b.T + w.d.T @ P2))
-    gain_u_h = (w.a11 @ w.c.T + w.a21.T @ w.d.T) @ P3
-    gain_z_X = -(w.a21 @ (w.a.T + w.c.T @ P2) + w.a22 @ (w.b.T + w.d.T @ P2))
-    gain_z_h = (w.a21 @ w.c.T + w.a22 @ w.d.T) @ P3
+    gain_u_X = -(a11 @ (a.T + c.T @ P2) + a21.T @ (b.T + d.T @ P2))
+    gain_u_h = (a11 @ c.T + a21.T @ d.T) @ P3
+    gain_z_X = -(a21 @ (a.T + c.T @ P2) + a22 @ (b.T + d.T @ P2))
+    gain_z_h = (a21 @ c.T + a22 @ d.T) @ P3
     add("block-gain/L6", g.L6, gain_u_X)
     add("block-gain/u-h", g.L7, gain_u_h)
     add("block-gain/L10", g.L10, gain_z_X)
@@ -1034,16 +974,20 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     # bracket orientation fixed by the offset row of control-map: the
     # B'P-blocks act on the augmented offset, minus the transposed mixed
     # weight acting on phi2 (c' = b_t + a_b B2, d' = d_t + c_b B2)
-    bracket_u = (w.a_t @ phit1 + w.b_t @ phit2 - w.b_t @ phi2
-                 - w.a_b @ (s.B2 @ phi2))
-    bracket_z = (w.c_t @ phit1 + w.d_t @ phit2 - w.d_t @ phi2
-                 - w.c_b @ (s.B2 @ phi2))
-    add("offset-gain/S3", g.S3, w.a11 @ bracket_u + w.a21.T @ bracket_z)
-    add("offset-gain/S5", g.S5, w.a21 @ bracket_u + w.a22 @ bracket_z)
+    bracket_u = (a_t @ phit1 + b_t @ phit2 - b_t @ phi2
+                 - a_b @ (s.B2 @ phi2))
+    bracket_z = (c_t @ phit1 + d_t @ phit2 - d_t @ phi2
+                 - cb @ (s.B2 @ phi2))
+    add("offset-gain/S3", g.S3, a11 @ bracket_u + a21.T @ bracket_z)
+    add("offset-gain/S5", g.S5, a21 @ bracket_u + a22 @ bracket_z)
 
-    add("offset-gain/S3-lambda", g.S3, w.a11 @ w.lambda1)
-    add("offset-gain/L7-lambda", g.L7, w.a11 @ w.lambda2)
-    add("offset-gain/S2-beta", g.L2_inv @ g.S2, w.beta5 @ phi1 + w.beta6 @ phi2)
+    lambda1 = -(s.D1.T @ phi1 + s.D2.T @ (g.L2_inv @ g.S2))
+    lambda2 = -(s.D1.T @ P2.T + s.D2.T @ g.L2_inv @ g.L4 + s.D3.T)
+    add("offset-gain/S3-lambda", g.S3, a11 @ lambda1)
+    add("offset-gain/L7-lambda", g.L7, a11 @ lambda2)
+    beta5 = g.L2_inv @ (P2.T @ s.C1.T - W @ g.L1_inv @ P3 @ s.C1.T)
+    beta6 = g.L2_inv @ (P1 @ s.B2 + W @ g.L1_inv @ P2 @ s.B2)
+    add("offset-gain/S2-beta", g.L2_inv @ g.S2, beta5 @ phi1 + beta6 @ phi2)
 
     m5_direct = m5_deterministic(aug, t_node, Pt, phit)
     dP1, _, dP3 = _p_rhs(s, P1, P2, P3, g)

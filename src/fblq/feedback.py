@@ -106,9 +106,7 @@ def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
     """
     table = table or evaluate_gain_table(problem, sol, grid)
     grid = table.grid
-    eps = 2.0 * grid.dt if epsilon_guard is None else float(epsilon_guard)
-    guard_node = int(np.floor((grid.T - eps) / grid.dt + 1e-9))
-    guard_node = min(max(guard_node, -1), grid.steps)
+    eps, guard_node = grid.guard_node(epsilon_guard)
     if not xy_form:
         guard_node = -1
     k = problem.k
@@ -176,13 +174,22 @@ def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
         out["N11"].append(s.C3.T + s.C1.T @ P2.T + s.C2.T @ table.L9[j] + s.C4 @ table.L11[j])
         out["N12"].append(s.C1.T @ phi1 + s.C2.T @ table.S4[j] + s.C4 @ table.S5[j])
     N = {name: np.stack(vals) for name, vals in out.items()}
-    H, P3_0 = problem.H, table.P3[0]
+    h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
+    return ClosedLoopSystem(grid=grid, N=N, x0=np.array(problem.x0), h0=h0)
+
+
+def initial_h(problem: FBLQProblem, P2_0: np.ndarray, P3_0: np.ndarray,
+              phi2_0: np.ndarray) -> np.ndarray:
+    """h(0) = (I + H P3(0))^-1 H (P2(0) x0 + phi2(0)).
+
+    Solves h(0) = H Y(0) together with the decoupling relation
+    Y(0) = P2(0) x0 - P3(0) h(0) + phi2(0).
+    """
     try:
-        lhs, _ = gated_inverse(np.eye(problem.m) + H @ P3_0, "I + H*P3(0)")
+        lhs, _ = gated_inverse(np.eye(problem.m) + problem.H @ P3_0, "I + H*P3(0)")
     except SingularCoefficientError:
         raise SingularCoefficientError("I + H*P3(0)", time=0.0) from None
-    h0 = lhs @ (H @ (table.P2[0] @ problem.x0 + table.phi2[0]))
-    return ClosedLoopSystem(grid=grid, N=N, x0=np.array(problem.x0), h0=h0)
+    return lhs @ (problem.H @ (P2_0 @ problem.x0 + phi2_0))
 
 
 def closed_form_h_representation(problem: FBLQProblem, sol: DecoupledSolution,
@@ -212,8 +219,7 @@ def closed_form_h_representation(problem: FBLQProblem, sol: DecoupledSolution,
     if x_path.shape != (steps + 1, n) or increments.shape != (steps,):
         raise PreconditionError("path arrays do not match the grid")
     dt = grid.dt
-    h0_lhs, _ = gated_inverse(np.eye(m) + problem.H @ table.P3[0], "I + H*P3(0)")
-    h0 = h0_lhs @ (problem.H @ (table.P2[0] @ problem.x0 + table.phi2[0]))
+    h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
 
     h = np.empty((steps + 1, m))
     phi = np.eye(m)

@@ -85,12 +85,6 @@ def gated_inverse(mat: np.ndarray, name: str, gate: float = COND_GATE):
     return inv, cond
 
 
-def solve_gated(mat: np.ndarray, rhs: np.ndarray, name: str, gate: float = COND_GATE) -> np.ndarray:
-    """Solve ``mat @ x = rhs`` behind the same conditioning gate as gated_inverse."""
-    inv, _ = gated_inverse(mat, name, gate)
-    return inv @ rhs
-
-
 def as_matrix(value, shape: tuple[int, int]) -> np.ndarray:
     """Coerce scalars / lists to a float matrix of the requested shape."""
     arr = np.asarray(value, dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .decouple import DecoupledSolution
 from .errors import DivergedError, DomainError, PreconditionError
-from .feedback import ClosedLoopSystem, FeedbackLaw, GainTable, evaluate_gain_table
+from .feedback import ClosedLoopSystem, FeedbackLaw, GainTable, evaluate_gain_table, initial_h
 from .linalg import gated_inverse
 from .model import COEFF_NAMES, FBLQProblem
 from .odes import MatrixPath, TimeGrid
@@ -137,42 +137,44 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
         qsum = np.zeros(cnum)
         q_ends = np.zeros(cnum)
         Y0 = None
-        for j in range(steps + 1):
-            Y = X @ tab.P2[j].T - h @ tab.P3[j].T + tab.phi2[j]
-            Z = X @ tab.L10[j].T + h @ tab.L11[j].T + tab.S5[j]
-            u = X @ law.xh_gain_X[j].T + h @ law.xh_gain_h[j].T + law.xh_offset[j]
-            madj = X @ tab.P1[j].T + h @ tab.P2[j] + tab.phi1[j]
-            nadj = X @ tab.L8[j].T + h @ tab.L9[j].T + tab.S4[j]
-            if j == 0:
-                Y0 = Y
-            q = (np.einsum("pi,ij,pj->p", X, cost_mats["A4"][j], X)
-                 + np.einsum("pi,ij,pj->p", Y, cost_mats["B4"][j], Y)
-                 + np.einsum("pi,ij,pj->p", Z, cost_mats["C4"][j], Z)
-                 + np.einsum("pi,ij,pj->p", u, cost_mats["D4"][j], u))
-            qsum += q
-            if j == 0 or j == steps:
-                q_ends += q
-            sum_x[j] += X.sum(axis=0)
-            sumsq_x[j] += (X * X).sum(axis=0)
-            sum_h[j] += h.sum(axis=0)
-            sumsq_h[j] += (h * h).sum(axis=0)
-            if keep:
-                for name, arr in (("X", X), ("h", h), ("Y", Y), ("Z", Z),
-                                  ("m", madj), ("n", nadj), ("u", u)):
-                    traj[name][p0:p0 + keep, j] = arr[:keep]
-            if j == steps:
-                break
-            db = dB[:, j:j + 1]
-            X_next = X + (X @ N["N1"][j].T + h @ N["N2"][j].T + N["N3"][j]) * dt \
-                + (X @ N["N4"][j].T + h @ N["N5"][j].T + N["N6"][j]) * db
-            h_next = h + (X @ N["N7"][j].T + h @ N["N8"][j].T + N["N9"][j]) * dt \
-                + (X @ N["N10"][j].T + h @ N["N11"][j].T + N["N12"][j]) * db
-            if not (np.all(np.isfinite(X_next)) and np.all(np.isfinite(h_next))):
-                bad = np.where(~(np.isfinite(X_next).all(axis=1)
-                                 & np.isfinite(h_next).all(axis=1)))[0][0]
-                raise DivergedError(float(grid.nodes[j]),
-                                    f"path {p0 + int(bad)} at step {j + 1}")
-            X, h = X_next, h_next
+        # overflow shows up as a non-finite state, which the step check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(steps + 1):
+                Y = X @ tab.P2[j].T - h @ tab.P3[j].T + tab.phi2[j]
+                Z = X @ tab.L10[j].T + h @ tab.L11[j].T + tab.S5[j]
+                u = X @ law.xh_gain_X[j].T + h @ law.xh_gain_h[j].T + law.xh_offset[j]
+                madj = X @ tab.P1[j].T + h @ tab.P2[j] + tab.phi1[j]
+                nadj = X @ tab.L8[j].T + h @ tab.L9[j].T + tab.S4[j]
+                if j == 0:
+                    Y0 = Y
+                q = (np.einsum("pi,ij,pj->p", X, cost_mats["A4"][j], X)
+                     + np.einsum("pi,ij,pj->p", Y, cost_mats["B4"][j], Y)
+                     + np.einsum("pi,ij,pj->p", Z, cost_mats["C4"][j], Z)
+                     + np.einsum("pi,ij,pj->p", u, cost_mats["D4"][j], u))
+                qsum += q
+                if j == 0 or j == steps:
+                    q_ends += q
+                sum_x[j] += X.sum(axis=0)
+                sumsq_x[j] += (X * X).sum(axis=0)
+                sum_h[j] += h.sum(axis=0)
+                sumsq_h[j] += (h * h).sum(axis=0)
+                if keep:
+                    for name, arr in (("X", X), ("h", h), ("Y", Y), ("Z", Z),
+                                      ("m", madj), ("n", nadj), ("u", u)):
+                        traj[name][p0:p0 + keep, j] = arr[:keep]
+                if j == steps:
+                    break
+                db = dB[:, j:j + 1]
+                X_next = X + (X @ N["N1"][j].T + h @ N["N2"][j].T + N["N3"][j]) * dt \
+                    + (X @ N["N4"][j].T + h @ N["N5"][j].T + N["N6"][j]) * db
+                h_next = h + (X @ N["N7"][j].T + h @ N["N8"][j].T + N["N9"][j]) * dt \
+                    + (X @ N["N10"][j].T + h @ N["N11"][j].T + N["N12"][j]) * db
+                if not (np.all(np.isfinite(X_next)) and np.all(np.isfinite(h_next))):
+                    bad = np.where(~(np.isfinite(X_next).all(axis=1)
+                                     & np.isfinite(h_next).all(axis=1)))[0][0]
+                    raise DivergedError(float(grid.nodes[j]),
+                                        f"path {p0 + int(bad)} at step {j + 1}")
+                X, h = X_next, h_next
         integral = dt * (qsum - 0.5 * q_ends)
         terminal = np.einsum("pi,ij,pj->p", X, problem.G, X)
         initial = np.einsum("pi,ij,pj->p", Y0, problem.H, Y0)
@@ -284,12 +286,10 @@ def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
         P1_inv, _ = gated_inverse(P1_0, "P1(0)")
         w = x0 + P1_inv @ phi1_0
         r2 = float(w @ P1_0 @ w)
-    y = P2_0 @ x0 + phi2_0
-    lhs, _ = gated_inverse(np.eye(problem.m) + problem.H @ P3_0, "I + H*P3(0)")
-    r2 += float(y @ lhs @ (problem.H @ y))
+    r2 += float((P2_0 @ x0 + phi2_0) @ initial_h(problem, P2_0, P3_0, phi2_0))
 
     grid = batch.grid
-    last = grid.steps - 2  # epsilon = 2*dt truncation near the horizon
+    _, last = grid.guard_node()
     if _offsets_vanish(sol) or last < 1:
         m5_vals = np.zeros(max(last + 1, 1))
     else:
@@ -459,25 +459,27 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
         S = np.broadcast_to(start, (nc * cnum, d)).copy()
         qsum = np.zeros(nc * cnum)
         q_ends = np.zeros(nc * cnum)
-        for j in range(cfg.steps + 1):
-            u = S @ gains[j].T + offs[j]
-            u_by_control = u.reshape(nc, cnum, cdim)
-            u_by_control += pert[:, j, np.newaxis]
-            q = _quad(S, Q[j]) + _quad(u, R[j])
-            qsum += q
-            if j == 0 or j == cfg.steps:
-                q_ends += q
-            if j == cfg.steps:
-                break
-            noise = S @ C[j].T + u @ D[j].T
-            noise_by_control = noise.reshape(nc, cnum, d)
-            noise_by_control *= dB[:, j:j + 1]
-            S_next = S + (S @ A[j].T + u @ B[j].T) * dt + noise
-            if not np.all(np.isfinite(S_next)):
-                c, bad = divmod(int(np.argmin(np.isfinite(S_next).all(axis=1))), cnum)
-                raise DivergedError(float(grid.nodes[j]),
-                                    f"control {c}, path {p0 + bad} at step {j + 1}")
-            S = S_next
+        # overflow shows up as a non-finite state, which the step check reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(cfg.steps + 1):
+                u = S @ gains[j].T + offs[j]
+                u_by_control = u.reshape(nc, cnum, cdim)
+                u_by_control += pert[:, j, np.newaxis]
+                q = _quad(S, Q[j]) + _quad(u, R[j])
+                qsum += q
+                if j == 0 or j == cfg.steps:
+                    q_ends += q
+                if j == cfg.steps:
+                    break
+                noise = S @ C[j].T + u @ D[j].T
+                noise_by_control = noise.reshape(nc, cnum, d)
+                noise_by_control *= dB[:, j:j + 1]
+                S_next = S + (S @ A[j].T + u @ B[j].T) * dt + noise
+                if not np.all(np.isfinite(S_next)):
+                    c, bad = divmod(int(np.argmin(np.isfinite(S_next).all(axis=1))), cnum)
+                    raise DivergedError(float(grid.nodes[j]),
+                                        f"control {c}, path {p0 + bad} at step {j + 1}")
+                S = S_next
         X_T, Y_T = S[:, :n], S[:, n:]
         gap = Y_T - X_T @ problem.F.T - problem.xi
         cost = 0.5 * (dt * (qsum - 0.5 * q_ends) + _quad(X_T, problem.G)

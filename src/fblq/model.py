@@ -92,10 +92,6 @@ class CoefficientFunction:
         return cls(np.asarray(breakpoints, dtype=float), vals)
 
     @property
-    def kind(self) -> str:
-        return "constant" if len(self.breakpoints) == 1 else "piecewise-constant"
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1:]
 
@@ -256,11 +252,6 @@ class FBLQProblem:
         """Coefficient snapshot at ``t`` without the domain check (internal)."""
         idx = max(bisect.bisect_right(self.merged_breakpoints, t) - 1, 0)
         return self._piece_snapshots[idx]
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.merged_breakpoints) == 1
-
 
 def eval_coeffs(problem: FBLQProblem, t: float) -> CoeffSnapshot:
     """All sixteen coefficients at time ``t``.

@@ -48,6 +48,16 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.steps
 
+    def guard_node(self, epsilon: float | None = None) -> tuple[float, int]:
+        """(epsilon, index of the last node with t <= T - epsilon).
+
+        ``epsilon`` defaults to two grid steps; the index is -1 when no node
+        lies that far before the horizon.
+        """
+        eps = 2.0 * self.dt if epsilon is None else float(epsilon)
+        node = int(np.floor((self.T - eps) / self.dt + 1e-9))
+        return eps, min(max(node, -1), self.steps)
+
     def refined(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.T, self.steps * factor)
 
@@ -102,12 +112,6 @@ class MatrixPath:
     @property
     def initial(self) -> np.ndarray:
         return self.values[0]
-
-    def vectors(self) -> np.ndarray:
-        """(steps+1, r) view for single-column paths."""
-        if self.shape[1] != 1:
-            raise ValueError("vectors() requires a single-column path")
-        return self.values[:, :, 0]
 
     def value(self, t: float) -> np.ndarray:
         return interpolate(self, t)
@@ -238,17 +242,27 @@ def constant_path(grid: TimeGrid, matrix: np.ndarray, symmetry: str = "none") ->
     return MatrixPath(grid, np.array(vals), symmetry)
 
 
-def path_to_csv(path: MatrixPath, file) -> None:
-    """Write ``t`` plus row-major entries per node as CSV."""
-    r, c = path.shape
-    header = ["t"] + [f"e_{i}_{j}" for i in range(r) for j in range(c)]
+def write_csv(file, header: list[str], rows) -> None:
+    """Write a header line, then one line per row of Python numbers.
+
+    Cells are ``repr`` of each number, so floats read back bit for bit;
+    convert numpy data with ``tolist()`` first (numpy scalars would print as
+    ``np.float64(...)``). ``file`` is a path or an open text file.
+    """
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
     fh = open(file, "w", encoding="utf-8") if own else file
     try:
         fh.write(",".join(header) + "\n")
-        for t, v in zip(path.grid.nodes, path.values):
-            row = [repr(float(t))] + [repr(float(x)) for x in v.reshape(-1)]
-            fh.write(",".join(row) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, row)) + "\n")
     finally:
         if own:
             fh.close()
+
+
+def path_to_csv(path: MatrixPath, file) -> None:
+    """Write ``t`` plus row-major entries per node as CSV."""
+    r, c = path.shape
+    header = ["t"] + [f"e_{i}_{j}" for i in range(r) for j in range(c)]
+    table = np.column_stack([path.grid.nodes, path.values.reshape(path.grid.steps + 1, -1)])
+    write_csv(file, header, table.tolist())

@@ -105,16 +105,21 @@ class MCoefficients:
     M4: np.ndarray  # (k+m, n+m)
 
 
+def _m_terms(s: AugSnapshot, P: np.ndarray):
+    """(M1, M2, M3, M4) of the completed square at one snapshot, as plain arrays.
+
+    Every completion-of-squares quantity (the Riccati derivative, the offset
+    drift, the cost term M5 and the feedback) starts from these; the hot
+    right-hand sides take them without the MCoefficients wrapper.
+    """
+    DtP = s.D.T @ P
+    M3 = s.B.T @ P
+    return sym(s.R + DtP @ s.D), M3 + DtP @ s.C, M3, DtP
+
+
 def m_coefficients(aug: AugmentedLQ, Ptilde_at_t: np.ndarray, t: float) -> MCoefficients:
     """M1 = R + D'PD (symmetrized), M2 = B'P + D'PC, M3 = B'P, M4 = D'P."""
-    s = aug.snapshot(t)
-    P = np.asarray(Ptilde_at_t, dtype=float)
-    DtP = s.D.T @ P
-    M4 = DtP
-    M3 = s.B.T @ P
-    M1 = sym(s.R + DtP @ s.D)
-    M2 = M3 + DtP @ s.C
-    return MCoefficients(M1, M2, M3, M4)
+    return MCoefficients(*_m_terms(aug.snapshot(t), np.asarray(Ptilde_at_t, dtype=float)))
 
 
 def penalized_terminal(problem: FBLQProblem, i: int) -> np.ndarray:
@@ -124,15 +129,24 @@ def penalized_terminal(problem: FBLQProblem, i: int) -> np.ndarray:
     return np.block([[G + i * F.T @ F, -i * F.T], [-i * F, i * np.eye(m)]])
 
 
-def _riccati_rhs(aug: AugmentedLQ, t: float, P: np.ndarray) -> np.ndarray:
+def _pdot(s: AugSnapshot, P: np.ndarray, M1_inv: np.ndarray, M2: np.ndarray) -> np.ndarray:
+    """Riccati derivative -(PA + A'P + C'PC + Q - M2' M1^-1 M2)."""
+    return -(P @ s.A + s.A.T @ P + s.C.T @ P @ s.C + s.Q - M2.T @ M1_inv @ M2)
+
+
+def _riccati_stage(aug: AugmentedLQ, t: float, P: np.ndarray):
+    """(snapshot, M1^-1, M2, M3, Pdot) at one stage of the Riccati flow.
+
+    The M1 side condition is checked before M1 is inverted, so a vanishing
+    margin is reported as ConstraintViolatedError, not as a singular M1.
+    """
     s = aug.snapshot(t)
-    M1 = sym(s.R + s.D.T @ P @ s.D)
+    M1, M2, M3, _ = _m_terms(s, P)
     low = min_eig_sym(M1)
     if low < M1_MARGIN:
         raise ConstraintViolatedError("M1 = R + D'PD", t, low)
-    M2 = s.B.T @ P + s.D.T @ P @ s.C
     M1_inv, _ = gated_inverse(M1, "M1")
-    return -(P @ s.A + s.A.T @ P + s.C.T @ P @ s.C + s.Q - M2.T @ M1_inv @ M2)
+    return s, M1_inv, M2, M3, _pdot(s, P, M1_inv, M2)
 
 
 @dataclass(frozen=True)
@@ -178,7 +192,7 @@ def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
     d = aug.state_dim
     system = OdeSystem(
         layout=(("P", (d, d)),),
-        rhs=lambda t, blocks: {"P": _riccati_rhs(aug, t, blocks["P"])},
+        rhs=lambda t, blocks: {"P": _riccati_stage(aug, t, blocks["P"])[4]},
         terminal={"P": terminal},
         symmetric=frozenset({"P"}),
     )
@@ -199,23 +213,16 @@ def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
     )
 
 
-def _offset_drift(aug: AugmentedLQ, t: float, P: np.ndarray, phi: np.ndarray,
-                  Pdot: np.ndarray) -> np.ndarray:
-    """Time derivative of the augmented offset, zero diffusion offset.
+def _offset_drift(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.ndarray,
+                  M2: np.ndarray, M3: np.ndarray, Pdot: np.ndarray) -> np.ndarray:
+    """P times the time derivative of the augmented offset (zero diffusion offset).
 
     Stationarity of the state-linear term in the completed square pins the
     offset drift to phi' = P^-1 (M2' M1^-1 M3 phi - A' P phi - Pdot phi),
     with Pdot taken from the Riccati right-hand side (never from differencing
     a stored path, which would cost two orders of accuracy).
     """
-    s = aug.snapshot(t)
-    M1 = sym(s.R + s.D.T @ P @ s.D)
-    M2 = s.B.T @ P + s.D.T @ P @ s.C
-    M3 = s.B.T @ P
-    M1_inv, _ = gated_inverse(M1, "M1")
-    rhs = M2.T @ (M1_inv @ (M3 @ phi)) - s.A.T @ (P @ phi) - Pdot @ phi
-    P_inv, _ = gated_inverse(P, "P_tilde")
-    return P_inv @ rhs
+    return M2.T @ (M1_inv @ (M3 @ phi)) - s.A.T @ (P @ phi) - Pdot @ phi
 
 
 def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
@@ -235,8 +242,9 @@ def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
 
     def rhs(t, blocks):
         P, phi = blocks["P"], blocks["phi"]
-        Pdot = _riccati_rhs(aug, t, P)
-        return {"P": Pdot, "phi": _offset_drift(aug, t, P, phi, Pdot)}
+        s, M1_inv, M2, M3, Pdot = _riccati_stage(aug, t, P)
+        P_inv, _ = gated_inverse(P, "P_tilde")
+        return {"P": Pdot, "phi": P_inv @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)}
 
     system = OdeSystem(
         layout=(("P", (d, d)), ("phi", (d,))),
@@ -254,12 +262,9 @@ def m5_deterministic(aug: AugmentedLQ, t: float, Ptilde_at_t: np.ndarray,
     P = np.asarray(Ptilde_at_t, dtype=float)
     phi = np.asarray(phi_tilde_at_t, dtype=float).reshape(-1)
     s = aug.snapshot(t)
-    M1 = sym(s.R + s.D.T @ P @ s.D)
-    M2 = s.B.T @ P + s.D.T @ P @ s.C
-    M3 = s.B.T @ P
+    M1, M2, M3, _ = _m_terms(s, P)
     M1_inv, _ = gated_inverse(M1, "M1")
-    Pdot = -(P @ s.A + s.A.T @ P + s.C.T @ P @ s.C + s.Q - M2.T @ M1_inv @ M2)
-    # P gamma with gamma the negated offset drift (see _offset_drift)
-    P_gamma = s.A.T @ (P @ phi) + Pdot @ phi - M2.T @ (M1_inv @ (M3 @ phi))
+    Pdot = _pdot(s, P, M1_inv, M2)
     m3phi = M3 @ phi
-    return float(-2.0 * phi @ P_gamma + phi @ Pdot @ phi - m3phi @ M1_inv @ m3phi)
+    return float(2.0 * phi @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)
+                 + phi @ Pdot @ phi - m3phi @ M1_inv @ m3phi)

@@ -184,8 +184,7 @@ def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
         symmetric=frozenset({"P1", "P3"}),
     )
     paths = integrate_terminal(system, grid)
-    eps = 2.0 * grid.dt if epsilon_guard is None else float(epsilon_guard)
-    guard_node = min(max(int(np.floor((grid.T - eps) / grid.dt + 1e-9)), -1), grid.steps)
+    _, guard_node = grid.guard_node(epsilon_guard)
     gain_X = np.empty((guard_node + 1, k, n))
     gain_Y = np.empty((guard_node + 1, k, m))
     for j in range(guard_node + 1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fblq.cli import main
+from fblq.decouple import integrate_direct, l_coefficients
 from fblq.errors import ParseError
 from fblq.odes import TimeGrid
 from fblq.problem_io import load_problem, problem_from_dict
@@ -133,6 +134,23 @@ def test_solve_riccati_writes_numeric_m1_trace(tmp_path):
     assert np.array_equal(rows[:, 1], ric.m1_min_eig)
 
 
+def test_condition_trace_matches_gain_family(tmp_path):
+    path = PROBLEMS / "fully_coupled_example.yaml"
+    code = run(tmp_path, "solve", str(path), "--method", "direct", "--schedule", "4",
+               "--grid", "100")
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "condition_trace.csv", delimiter=",", skiprows=1)
+    nodes = np.unique(np.linspace(0, 100, 65).astype(int))
+    assert rows.shape == (len(nodes), 4)
+    prob = load_problem(path)
+    sol = integrate_direct(prob, 4, TimeGrid(prob.T, 100))
+    for row, j in zip(rows, nodes):
+        P1, P2, P3, _, _ = sol.at_node(j)
+        g = l_coefficients(prob, P1, P2, P3, t=float(sol.grid.nodes[j]))
+        assert row[0] == sol.grid.nodes[j]
+        assert tuple(row[1:]) == (g.cond_L1, g.cond_L2, g.cond_L5)
+
+
 def test_grid_must_align_with_breakpoints(tmp_path):
     code = run(tmp_path, "solve", str(PROBLEMS / "piecewise_demo.yaml"),
                "--method", "direct", "--schedule", "exact", "--grid", "501")
@@ -188,8 +206,7 @@ def test_verify_special_on_generic_instance_is_precondition_error(tmp_path):
 
 def test_verify_all_suites_end_to_end(tmp_path):
     code = run(tmp_path, "verify", str(PROBLEMS / "partially_coupled_example.yaml"),
-               "--suite", "all", "--grid", "500", "--paths", "800",
-               "--threads", "2")
+               "--suite", "all", "--grid", "500", "--paths", "800")
     assert code == 0
     rows = json.loads((tmp_path / "verify_report.json").read_text())
     suites = {r["suite"] for r in rows}
@@ -197,6 +214,13 @@ def test_verify_all_suites_end_to_end(tmp_path):
     assert all(r["passed"] for r in rows)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert any("special suite skipped" in note for note in manifest["notes"])
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
+def test_threads_option_rejected(tmp_path, command):
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, command, str(PROBLEMS / "allzero_smoke.yaml"), "--threads", "2")
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("name,expected", [

@@ -17,6 +17,7 @@ from fblq.decouple import (
     EXACT,
     DecoupledSolution,
     check_transpose_consistency,
+    gain_condition_trace,
     identity_suite,
     integrate_direct,
     iterate_limit,
@@ -301,6 +302,23 @@ def test_limit_trivial_converges_immediately(grid1000):
     assert diag.converged
     assert diag.schedule == (1, 2)
     assert np.all(sol.P3.values == 0.0)
+
+
+def test_limit_gain_cond_bound_is_worst_of_33_sampled_nodes():
+    prob = make_fully_coupled()
+    grid = TimeGrid(prob.T, 200)
+    _, diag = iterate_limit(prob, grid, schedule=(1, 2, 4), measure_rate=False)
+    nodes = np.unique(np.linspace(0, grid.steps, 33).astype(int))
+    worst = 0.0
+    for _, sol in diag.iterates:
+        trace = gain_condition_trace(prob, sol, 33)
+        assert np.array_equal(trace[:, 0], grid.nodes[nodes])
+        for row, j in zip(trace, nodes):
+            P1, P2, P3, _, _ = sol.at_node(j)
+            g = l_coefficients(prob, P1, P2, P3, t=float(grid.nodes[j]))
+            assert tuple(row[1:]) == (g.cond_L1, g.cond_L2, g.cond_L5)
+            worst = max(worst, g.cond_L1, g.cond_L2, g.cond_L5)
+    assert diag.gain_cond_bound == worst
 
 
 def test_limit_indefinite_example_reaches_closed_forms(grid2000):

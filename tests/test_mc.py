@@ -285,14 +285,24 @@ def test_penalized_batch_is_chunk_invariant():
         assert np.array_equal(a.samples, b.samples)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_penalized_divergence_names_control_and_path():
     prob = make_partially_coupled()
     aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 22, 50)
-    blowup = ("perturbed", 1e300, np.full((cfg.steps + 1, aug.control_dim), 1e300))
-    with pytest.raises(DivergedError) as err, np.errstate(over="ignore", invalid="ignore"):
+    blowup = ("perturbed", 1.0, np.full((cfg.steps + 1, aug.control_dim), np.inf))
+    with pytest.raises(DivergedError) as err:
         simulate_penalized_forward(aug, ric, offset, [("synthesized",), blowup],
                                    prob, 8, cfg)
     assert "control 1, path 0 at step" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_loop_divergence_names_path():
+    # every block stays zero, so X alone grows by a factor 1 + A1 dt per step
+    prob = FBLQProblem.from_constants(1, 1, 1, 1.0, A1=1e200, D4=1.0, x0=1.0)
+    with pytest.raises(DivergedError) as err:
+        pipeline(prob, 10, 100, 16, 7)
+    assert "path 0 at step 2" in str(err.value)
 
 
 def test_penalized_perturbations_never_win():

@@ -174,6 +174,16 @@ def test_grid_alignment_check():
     assert not grid.aligns_with(np.array([0.33]))
 
 
+def test_guard_node_defaults_to_two_steps_before_horizon():
+    for T in (0.3, 1.0, 7.0):
+        for steps in (2, 3, 100, 200, 999, 4000):
+            grid = TimeGrid(T, steps)
+            assert grid.guard_node() == (2.0 * grid.dt, steps - 2)
+    assert TimeGrid(1.0, 1).guard_node()[1] == -1
+    assert TimeGrid(1.0, 10).guard_node(2.0) == (2.0, -1)
+    assert TimeGrid(1.0, 10).guard_node(0.0) == (0.0, 10)
+
+
 def test_csv_export_shape():
     path = constant_path(TimeGrid(1.0, 2), np.array([[1.0, 2.0]]))
     buf = io.StringIO()
