@@ -38,6 +38,7 @@ from .decouple import (
     DEFAULT_LIMIT_TOL,
     DEFAULT_SCHEDULE,
     EXACT,
+    direct_solver,
     gain_condition_trace,
     identity_suite,
     integrate_direct,
@@ -366,7 +367,8 @@ def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
 
 def _suite_monotone(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64)) -> list[SuiteCheck]:
     checks = []
-    sols = [(i, integrate_direct(problem, i, grid)) for i in schedule]
+    solve = direct_solver(problem, schedule, grid)
+    sols = [(i, solve(i)) for i in schedule]
     worst_p3 = worst_p1 = worst_p3_psd = worst_p1_psd = np.inf
     for (ia, sa), (ib, sb) in zip(sols, sols[1:]):
         d3 = sa.P3.values - sb.P3.values

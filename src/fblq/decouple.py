@@ -32,13 +32,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DivergedError, DomainError, PreconditionError, SingularCoefficientError
+from .errors import (
+    DivergedError,
+    DomainError,
+    FBLQError,
+    PreconditionError,
+    SingularCoefficientError,
+)
 from .linalg import gated_inverse, min_eig_sym, sym
 from .model import COEFF_NAMES, LEVEL_STRICT, CoeffSnapshot, FBLQProblem, eval_coeffs, validate
 from .riccati import (
     RiccatiSolution,
     build_augmented,
-    m5_deterministic,
+    m5_from_terms,
     m_coefficients,
     solve_auxiliary_riccati,
     solve_offset_tilde,
@@ -101,24 +107,29 @@ def _eye(d: int) -> np.ndarray:
 
 def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
            n=None, m=None) -> GainCoefficients:
-    n = P1.shape[0] if n is None else n
-    m = P3.shape[0] if m is None else m
+    """The gain family for (d, d) blocks or (B, d, d) stacks of them.
+
+    Offsets are (d,) vectors next to single blocks and (B, d, 1) columns
+    next to stacks; in a batch the conditions are one per member.
+    """
+    n = P1.shape[-1] if n is None else n
+    m = P3.shape[-1] if m is None else m
     I_n, I_m = _eye(n), _eye(m)
 
     L1 = I_m - P2 @ s.C2 + P3 @ s.C4
     L1_inv, cond1 = gated_inverse(L1, "L1")
-    W = P1 @ s.C2 + P2.T @ s.C4  # recurring mixed weight, (n, m)
-    L2 = I_n - P2.T @ s.C2.T + W @ L1_inv @ (P3 @ s.C2.T)
+    W = P1 @ s.C2 + P2.mT @ s.C4  # recurring mixed weight, (n, m)
+    L2 = I_n - P2.mT @ s.C2.T + W @ L1_inv @ (P3 @ s.C2.T)
     L2_inv, cond2 = gated_inverse(L2, "L2")
     zx = P2 @ s.A2 + P2 @ s.B2 @ P2 - P3 @ s.C1.T @ P1   # diffusion recovery, X-gain
-    zh = P2 @ s.B2 @ P3 + P3 @ s.C3.T + P3 @ s.C1.T @ P2.T
-    L3 = P1 @ s.A2 + P1 @ s.B2 @ P2 + P2.T @ s.C1.T @ P1 + W @ L1_inv @ zx
-    L4 = P2.T @ s.C3.T + P2.T @ s.C1.T @ P2.T - P1 @ s.B2 @ P3 - W @ L1_inv @ zh
+    zh = P2 @ s.B2 @ P3 + P3 @ s.C3.T + P3 @ s.C1.T @ P2.mT
+    L3 = P1 @ s.A2 + P1 @ s.B2 @ P2 + P2.mT @ s.C1.T @ P1 + W @ L1_inv @ zx
+    L4 = P2.mT @ s.C3.T + P2.mT @ s.C1.T @ P2.mT - P1 @ s.B2 @ P3 - W @ L1_inv @ zh
     S1 = P1 + W @ L1_inv @ P2
     L5 = s.D4 + s.D2.T @ L2_inv @ S1 @ s.D2
     L5_inv, cond5 = gated_inverse(L5, "L5")
     L6 = -L5_inv @ (s.D1.T @ P1 + s.D2.T @ L2_inv @ L3)
-    L7 = -L5_inv @ (s.D1.T @ P2.T + s.D2.T @ L2_inv @ L4 + s.D3.T)
+    L7 = -L5_inv @ (s.D1.T @ P2.mT + s.D2.T @ L2_inv @ L4 + s.D3.T)
     L8 = L2_inv @ (L3 + S1 @ s.D2 @ L6)
     L9 = L2_inv @ (L4 + S1 @ s.D2 @ L7)
     L10 = L1_inv @ (zx - P3 @ s.C2.T @ L8 + P2 @ s.D2 @ L6)
@@ -126,9 +137,9 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
 
     S2 = S3 = S4 = S5 = None
     if phi1 is not None:
-        v1 = np.zeros(n) if v1 is None else v1
-        v2 = np.zeros(m) if v2 is None else v2
-        S2 = (P1 @ s.B2 @ phi2 + P2.T @ (s.C1.T @ phi1) + v1
+        v1 = np.zeros_like(phi1) if v1 is None else v1
+        v2 = np.zeros_like(phi2) if v2 is None else v2
+        S2 = (P1 @ s.B2 @ phi2 + P2.mT @ (s.C1.T @ phi1) + v1
               + W @ (L1_inv @ (P2 @ s.B2 @ phi2 - P3 @ (s.C1.T @ phi1) + v2)))
         S3 = -L5_inv @ (s.D1.T @ phi1 + s.D2.T @ (L2_inv @ S2))
         S4 = L2_inv @ (S1 @ (s.D2 @ S3) + S2)
@@ -167,13 +178,13 @@ def l_coefficients(problem: FBLQProblem, P1, P2, P3, phi1=None, phi2=None,
 
 def _p_rhs(s: CoeffSnapshot, P1, P2, P3, g: GainCoefficients):
     dP1 = -(P1 @ s.A1 + P1 @ s.B1 @ P2 + P1 @ s.C1 @ g.L10 + P1 @ s.D1 @ g.L6
-            + P2.T @ s.B1.T @ P1 + P2.T @ s.B2.T @ g.L8 + P2.T @ s.B4 @ P2
+            + P2.mT @ s.B1.T @ P1 + P2.mT @ s.B2.T @ g.L8 + P2.mT @ s.B4 @ P2
             + s.A4 + s.A1.T @ P1 + s.A2.T @ g.L8)
     dP2 = -(P2 @ s.A1 + P2 @ s.B1 @ P2 + P2 @ s.C1 @ g.L10 + P2 @ s.D1 @ g.L6
             - P3 @ s.B1.T @ P1 - P3 @ s.B2.T @ g.L8 - P3 @ s.B4 @ P2
             + s.A3 + s.B3 @ P2 + s.C3 @ g.L10 + s.D3 @ g.L6)
     dP3 = -(P2 @ s.B1 @ P3 - P2 @ s.C1 @ g.L11 - P2 @ s.D1 @ g.L7
-            + P3 @ s.B3.T + P3 @ s.B1.T @ P2.T + P3 @ s.B2.T @ g.L9
+            + P3 @ s.B3.T + P3 @ s.B1.T @ P2.mT + P3 @ s.B2.T @ g.L9
             - P3 @ s.B4 @ P3 + s.B3 @ P3 - s.C3 @ g.L11 - s.D3 @ g.L7)
     return dP1, dP2, dP3
 
@@ -193,7 +204,7 @@ def _p2t_rhs(s: CoeffSnapshot, P1, P3, Q, g: GainCoefficients):
 def _phi_rhs(s: CoeffSnapshot, P1, P2, P3, phi1, phi2, g: GainCoefficients):
     fwd = s.B1 @ phi2 + s.C1 @ g.S5 + s.D1 @ g.S3    # offset of the X drift
     adj = s.B1.T @ phi1 + s.B2.T @ g.S4 + s.B4 @ phi2  # offset of the h drift
-    dphi1 = -(P1 @ fwd + P2.T @ adj + s.A1.T @ phi1 + s.A2.T @ g.S4)
+    dphi1 = -(P1 @ fwd + P2.mT @ adj + s.A1.T @ phi1 + s.A2.T @ g.S4)
     dphi2 = -(P2 @ fwd - P3 @ adj + s.B3 @ phi2 + s.C3 @ g.S5 + s.D3 @ g.S3)
     return dphi1, dphi2
 
@@ -358,16 +369,23 @@ def _integrate_direct_scalar(problem: FBLQProblem, terminal_index,
     )
 
 
-def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid) -> DecoupledSolution:
+def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
     """Backward integration of the coupled (P1, P2, P3, phi1, phi2) system.
 
     ``terminal_index`` is a penalization index i >= 1 (P3(T) = I/i) or
     ``"exact"`` (P3(T) = 0; the block equations themselves are regular
-    there, only the feedback form needs an invertible P3).
+    there, only the feedback form needs an invertible P3). A list or tuple
+    of such indices returns a list of solutions, integrated as one batch
+    (one RK4 pass over (B, d, d) stacks); a failure of any member aborts
+    the whole batch. Scalar instances take the fused scalar path one index
+    at a time.
     """
     n, m = problem.n, problem.m
+    batched = isinstance(terminal_index, (list, tuple))
+    indices = list(terminal_index) if batched else [terminal_index]
     if n == 1 and m == 1 and problem.k == 1:
-        return _integrate_direct_scalar(problem, terminal_index, grid)
+        sols = [_integrate_direct_scalar(problem, i, grid) for i in indices]
+        return sols if batched else sols[0]
 
     def rhs(t, blocks):
         s = problem.snapshot(t)
@@ -378,24 +396,54 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid) -> De
         dphi1, dphi2 = _phi_rhs(s, P1, P2, P3, phi1, phi2, g)
         return {"P1": dP1, "P2": dP2, "P3": dP3, "phi1": dphi1, "phi2": dphi2}
 
+    lead = (len(indices),) if batched else ()
+    col = (1,) if batched else ()   # offsets are columns next to block stacks
+    P3_T = np.array([_terminal_p3(problem, i) for i in indices]).reshape(*lead, m, m)
     system = OdeSystem(
         layout=(("P1", (n, n)), ("P2", (m, n)), ("P3", (m, m)),
-                ("phi1", (n,)), ("phi2", (m,))),
+                ("phi1", (n, *col)), ("phi2", (m, *col))),
         rhs=rhs,
-        terminal={"P1": problem.G, "P2": problem.F,
-                  "P3": _terminal_p3(problem, terminal_index),
-                  "phi1": np.zeros(n), "phi2": problem.xi},
+        terminal={"P1": np.broadcast_to(problem.G, (*lead, n, n)),
+                  "P2": np.broadcast_to(problem.F, (*lead, m, n)),
+                  "P3": P3_T,
+                  "phi1": np.zeros((*lead, n, *col)),
+                  "phi2": np.broadcast_to(problem.xi.reshape(m, *col), (*lead, m, *col))},
         symmetric=frozenset({"P1", "P3"}),
     )
     paths = integrate_terminal(system, grid)
-    index = None if terminal_index == EXACT else int(terminal_index)
-    return DecoupledSolution(
-        P1=paths["P1"], P2=paths["P2"], P3=paths["P3"],
-        phi1=paths["phi1"], phi2=paths["phi2"],
+    sols = [DecoupledSolution(
+        P1=p["P1"], P2=p["P2"], P3=p["P3"], phi1=p["phi1"], phi2=p["phi2"],
         v1=constant_path(grid, np.zeros((n, 1))),
         v2=constant_path(grid, np.zeros((m, 1))),
-        source=SolutionSource("direct", index),
-    )
+        source=SolutionSource("direct", None if i == EXACT else int(i)),
+    ) for i, p in zip(indices, paths if batched else [paths])]
+    return sols if batched else sols[0]
+
+
+def direct_solver(problem: FBLQProblem, indices, grid: TimeGrid):
+    """``solve(index)`` for a sweep over ``indices``, batched where it can be.
+
+    Generic instances integrate every index in one batched call up front.
+    If any member fails, or the instance is scalar, each index is solved on
+    its own when first asked for, so an index the caller never consumes
+    never raises and a consumed one raises the single-index error.
+    """
+    cache: dict = {}
+    indices = list(dict.fromkeys(indices))
+    if len(indices) > 1 and (problem.n, problem.m, problem.k) != (1, 1, 1):
+        try:
+            # a failing member may overflow before it is caught; the lazy
+            # re-solve then reports it as a single solve would
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                cache = dict(zip(indices, integrate_direct(problem, indices, grid)))
+        except FBLQError:
+            cache = {}
+
+    def solve(index) -> DecoupledSolution:
+        if index not in cache:
+            cache[index] = integrate_direct(problem, index, grid)
+        return cache[index]
+    return solve
 
 
 def check_transpose_consistency(problem: FBLQProblem, grid: TimeGrid,
@@ -605,6 +653,13 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     augmented problem and transforms), recording monotonicity and
     convergence diagnostics, and returns ``(solution, diagnostics)``.
 
+    With "direct" on a generic instance the whole schedule, its i+1
+    companions and the exact-terminal solve are integrated up front as one
+    batch; the comparison loop then runs over the ready iterates and
+    truncates at the first converged pair, exactly as a one-index-at-a-time
+    sweep would. If any batch member fails, the sweep solves one index at a
+    time instead, so only a consumed index can raise (see direct_solver).
+
     The returned solution is the exact-terminal integration (P3(T) = 0): the
     block equations are regular there and every finite-index iterate carries
     an O(1/i) offset throughout the horizon, so relabeling an iterate cannot
@@ -620,18 +675,21 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     if method not in ("direct", "riccati"):
         raise DomainError(f"unknown limit method {method!r}")
 
-    aug = build_augmented(problem) if method == "riccati" else None
-    cache: dict[int, DecoupledSolution] = {}
+    companions = [i + 1 for i in schedule] if measure_rate else []
+    direct = direct_solver(
+        problem, [*schedule, *companions, EXACT] if method == "direct" else [EXACT], grid)
+    if method == "direct":
+        solve_one = direct
+    else:
+        aug = build_augmented(problem)
+        cache: dict[int, DecoupledSolution] = {}
 
-    def solve_one(i: int) -> DecoupledSolution:
-        if i not in cache:
-            if method == "direct":
-                cache[i] = integrate_direct(problem, i, grid)
-            else:
+        def solve_one(i: int) -> DecoupledSolution:
+            if i not in cache:
                 ric = solve_auxiliary_riccati(aug, problem, i, grid)
                 offset = solve_offset_tilde(aug, ric, problem.xi, grid)
                 cache[i] = transform_from_riccati(ric, offset)
-        return cache[i]
+            return cache[i]
 
     iterates: list[tuple[int, DecoupledSolution]] = []
     doubling: list[float] = []
@@ -661,7 +719,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     used = tuple(i for i, _ in iterates)
     rate = fit_rate_exponent(used[:len(consecutive)], consecutive)
     source = SolutionSource("limit", index=used[-1], tol=tol, i_max=schedule[-1])
-    limit_sol = replace(integrate_direct(problem, EXACT, grid), source=source)
+    limit_sol = replace(direct(EXACT), source=source)
     diagnostics = LimitDiagnostics(
         schedule=used, doubling_diffs=tuple(doubling),
         consecutive_diffs=tuple(consecutive), rate_exponent=rate,
@@ -989,7 +1047,7 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     beta6 = g.L2_inv @ (P1 @ s.B2 + W @ g.L1_inv @ P2 @ s.B2)
     add("offset-gain/S2-beta", g.L2_inv @ g.S2, beta5 @ phi1 + beta6 @ phi2)
 
-    m5_direct = m5_deterministic(aug, t_node, Pt, phit)
+    m5_direct = m5_from_terms(aug.snapshot(t_node), Pt, phit, M1_inv, mc.M2, mc.M3)
     dP1, _, dP3 = _p_rhs(s, P1, P2, P3, g)
     gamma1, gamma2 = (-x for x in _phi_rhs(s, P1, P2, P3, phi1, phi2, g))
     u_off = g.S3 + g.L7 @ (P3_inv @ phi2)

@@ -28,14 +28,19 @@ class SingularCoefficientError(FBLQError):
 
     ``name`` identifies which inverse failed (e.g. ``"L1"``, ``"P3_tilde"``),
     ``time`` the evaluation time where it happened, ``cond`` the estimated
-    condition number when available.
+    condition number when available, ``member`` the failing member of a
+    batched evaluation.
     """
 
-    def __init__(self, name: str, time: float | None = None, cond: float | None = None):
+    def __init__(self, name: str, time: float | None = None, cond: float | None = None,
+                 member: int | None = None):
         self.name = name
         self.time = time
         self.cond = cond
+        self.member = member
         parts = [f"singular or ill-conditioned inverse {name}"]
+        if member is not None:
+            parts.append(f"in batch member {member}")
         if time is not None:
             parts.append(f"at t={time:.6g}")
         if cond is not None:
@@ -43,7 +48,7 @@ class SingularCoefficientError(FBLQError):
         super().__init__(" ".join(parts))
 
     def at_time(self, time: float) -> "SingularCoefficientError":
-        return SingularCoefficientError(self.name, time, self.cond)
+        return SingularCoefficientError(self.name, time, self.cond, self.member)
 
 
 class ConstraintViolatedError(FBLQError):

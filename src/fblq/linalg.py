@@ -17,8 +17,8 @@ COND_GATE = 1e10
 
 
 def sym(mat: np.ndarray) -> np.ndarray:
-    """Symmetric part 0.5*(M + M^T)."""
-    return 0.5 * (mat + mat.T)
+    """Symmetric part 0.5*(M + M^T); a (B, d, d) stack is symmetrized per member."""
+    return 0.5 * (mat + mat.mT)
 
 
 def max_abs(arr: np.ndarray) -> float:
@@ -61,7 +61,11 @@ def gated_inverse(mat: np.ndarray, name: str, gate: float = COND_GATE):
     The gate compares the 1-norm condition estimate against ``gate``
     (default 1e10). Dimensions one and two take closed-form fast paths;
     they dominate the integration hot loop. Returns (inverse, estimate).
+    A (B, d, d) stack is gated per member and returns one estimate per
+    member; the error names the inverse and the first failing member.
     """
+    if mat.ndim == 3:
+        return _gated_inverse_stack(mat, name, gate)
     d = mat.shape[0]
     if d == 1:
         a = mat[0, 0]
@@ -83,6 +87,44 @@ def gated_inverse(mat: np.ndarray, name: str, gate: float = COND_GATE):
     if not np.isfinite(cond) or cond > gate:
         raise SingularCoefficientError(name, cond=cond)
     return inv, cond
+
+
+def _gated_inverse_stack(mat: np.ndarray, name: str, gate: float):
+    """gated_inverse on a (B, d, d) stack: the same closed forms, elementwise."""
+    d = mat.shape[-1]
+    if d == 1:
+        a = mat[:, 0, 0]
+        _raise_first(name, (a == 0.0) | ~np.isfinite(a), np.inf)
+        inv = 1.0 / mat
+    elif d == 2:
+        a, b, c, e = mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 0], mat[:, 1, 1]
+        det = a * e - b * c
+        _raise_first(name, (det == 0.0) | ~np.isfinite(det), np.inf)
+        inv = np.empty_like(mat)   # np.stack of the four entries costs more
+        inv[:, 0, 0], inv[:, 0, 1] = e / det, -b / det
+        inv[:, 1, 0], inv[:, 1, 1] = -c / det, a / det
+    else:
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            for k, member in enumerate(mat):   # name the first singular member
+                try:
+                    np.linalg.inv(member)
+                except np.linalg.LinAlgError:
+                    raise SingularCoefficientError(name, cond=np.inf, member=k) from None
+            raise
+    # column-sum 1-norms, as _norm1 per member
+    cond = np.abs(mat).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    _raise_first(name, ~(cond <= gate), cond)   # NaN fails the comparison
+    return inv, cond
+
+
+def _raise_first(name: str, bad: np.ndarray, cond):
+    """Raise for the first member flagged in ``bad`` (one flag per member)."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularCoefficientError(
+            name, cond=float(np.broadcast_to(cond, bad.shape)[k]), member=k)
 
 
 def as_matrix(value, shape: tuple[int, int]) -> np.ndarray:

@@ -175,10 +175,14 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
                     raise DivergedError(float(grid.nodes[j]),
                                         f"path {p0 + int(bad)} at step {j + 1}")
                 X, h = X_next, h_next
-        integral = dt * (qsum - 0.5 * q_ends)
-        terminal = np.einsum("pi,ij,pj->p", X, problem.G, X)
-        initial = np.einsum("pi,ij,pj->p", Y0, problem.H, Y0)
-        cost[p0:p0 + cnum] = 0.5 * (integral + terminal + initial)
+            integral = dt * (qsum - 0.5 * q_ends)
+            terminal = np.einsum("pi,ij,pj->p", X, problem.G, X)
+            initial = np.einsum("pi,ij,pj->p", Y0, problem.H, Y0)
+            cost[p0:p0 + cnum] = 0.5 * (integral + terminal + initial)
+        # a finite state can still carry a cost past the float range
+        if not np.all(np.isfinite(cost[p0:p0 + cnum])):
+            bad = int(np.argmin(np.isfinite(cost[p0:p0 + cnum])))
+            raise DivergedError(float(grid.T), f"cost of path {p0 + bad} non-finite")
 
     mean_x = sum_x / cfg.paths
     mean_h = sum_h / cfg.paths
@@ -480,10 +484,14 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
                     raise DivergedError(float(grid.nodes[j]),
                                         f"control {c}, path {p0 + bad} at step {j + 1}")
                 S = S_next
-        X_T, Y_T = S[:, :n], S[:, n:]
-        gap = Y_T - X_T @ problem.F.T - problem.xi
-        cost = 0.5 * (dt * (qsum - 0.5 * q_ends) + _quad(X_T, problem.G)
-                      + i * np.sum(gap * gap, axis=1))
+            X_T, Y_T = S[:, :n], S[:, n:]
+            gap = Y_T - X_T @ problem.F.T - problem.xi
+            cost = 0.5 * (dt * (qsum - 0.5 * q_ends) + _quad(X_T, problem.G)
+                          + i * np.sum(gap * gap, axis=1))
+        # a finite state can still carry a cost past the float range
+        if not np.all(np.isfinite(cost)):
+            c, bad = divmod(int(np.argmin(np.isfinite(cost))), cnum)
+            raise DivergedError(float(grid.T), f"cost of control {c}, path {p0 + bad} non-finite")
         samples[:, p0:p0 + cnum] = cost.reshape(nc, cnum)
     return [PenalizedCost(*_mean_stderr(row), row) for row in samples]
 

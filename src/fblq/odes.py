@@ -163,6 +163,10 @@ class OdeSystem:
     must be pure and return one array per block with unchanged shape.
     Blocks in ``symmetric`` are projected to their symmetric part after each
     step and have their paths tagged symmetric.
+
+    Terminal blocks may carry one leading batch axis of a common length B:
+    the system then stands for B independent members integrated in one
+    pass, and ``rhs`` receives and returns (B, *shape) stacks.
     """
 
     layout: tuple[tuple[str, tuple[int, ...]], ...]
@@ -172,19 +176,35 @@ class OdeSystem:
 
     def __post_init__(self):
         for name, shape in self.layout:
+            want = (*self.batch, *shape)
             arr = np.asarray(self.terminal[name], dtype=float)
-            if arr.shape != tuple(shape):
-                raise ValueError(f"terminal block {name} has shape {arr.shape}, expected {shape}")
+            if arr.shape != want or len(self.batch) > 1:
+                raise ValueError(f"terminal block {name} has shape {arr.shape}, expected {want}")
+
+    @property
+    def batch(self) -> tuple[int, ...]:
+        """() for a single system, (B,) for a batch of B members (read off
+        the first block)."""
+        name, shape = self.layout[0]
+        arr = np.shape(self.terminal[name])
+        return arr[:max(len(arr) - len(shape), 0)]
 
 
-def _check_finite(blocks: Blocks, t_good: float):
+def _check_finite(blocks: Blocks, t_good: float, batched: bool):
     for name, arr in blocks.items():
         # max propagates NaN and inf, so one reduction covers both checks
-        peak = np.max(np.abs(arr))
+        if not batched:
+            peak, where = np.max(np.abs(arr)), f"block {name}"
+        else:
+            peaks = np.abs(arr).reshape(len(arr), -1).max(axis=1)
+            if np.all(peaks <= BLOWUP_LIMIT):
+                continue
+            member = int(np.argmax(~(peaks <= BLOWUP_LIMIT)))
+            peak, where = peaks[member], f"block {name} of member {member}"
         if not np.isfinite(peak):
-            raise DivergedError(t_good, f"block {name} non-finite")
+            raise DivergedError(t_good, f"{where} non-finite")
         if peak > BLOWUP_LIMIT:
-            raise DivergedError(t_good, f"block {name} exceeded {BLOWUP_LIMIT:.0e}")
+            raise DivergedError(t_good, f"{where} exceeded {BLOWUP_LIMIT:.0e}")
 
 
 def _eval_rhs(system: OdeSystem, t: float, blocks: Blocks) -> Blocks:
@@ -196,19 +216,24 @@ def _eval_rhs(system: OdeSystem, t: float, blocks: Blocks) -> Blocks:
         raise SingularCoefficientError(str(err) or "linear solve", time=t) from None
 
 
-def integrate_terminal(system: OdeSystem, grid: TimeGrid) -> dict[str, MatrixPath]:
+def integrate_terminal(system: OdeSystem, grid: TimeGrid):
     """Integrate backward from t = T to t = 0 with classical RK4.
 
     Returns one MatrixPath per block whose node-j value approximates the
-    solution at t_j. Aborts with DivergedError (carrying the last good time)
-    when any entry exceeds BLOWUP_LIMIT or turns non-finite, and with
-    SingularCoefficientError when the right-hand side fails to evaluate.
-    Deterministic: identical inputs give bit-identical paths.
+    solution at t_j; a batched system returns a list with one such dict per
+    member. Aborts with DivergedError (carrying the last good time and, in
+    a batch, the member) when any entry exceeds BLOWUP_LIMIT or turns
+    non-finite, and with SingularCoefficientError when the right-hand side
+    fails to evaluate. Deterministic: identical inputs give bit-identical
+    paths.
     """
     names = [name for name, _ in system.layout]
+    batch = system.batch
     state: Blocks = {n: np.array(system.terminal[n], dtype=float) for n in names}
-    _check_finite(state, grid.T)
-    history = {n: [state[n].copy()] for n in names}
+    _check_finite(state, grid.T, bool(batch))
+    history = {n: np.empty((grid.steps + 1, *state[n].shape)) for n in names}
+    for n in names:
+        history[n][grid.steps] = state[n]
     h = -grid.dt
     for j in range(grid.steps, 0, -1):
         t = grid.nodes[j]
@@ -223,17 +248,22 @@ def integrate_terminal(system: OdeSystem, grid: TimeGrid) -> dict[str, MatrixPat
             if n in system.symmetric:
                 nxt = sym(nxt)
             state[n] = nxt
-        _check_finite(state, t)
+        _check_finite(state, t, bool(batch))
         for n in names:
-            history[n].append(state[n].copy())
-    paths: dict[str, MatrixPath] = {}
-    for n, shape in system.layout:
-        stacked = np.stack(history[n][::-1])  # history was recorded from T down to 0
-        if len(shape) == 1:
-            stacked = stacked[:, :, np.newaxis]
-        tag = "symmetric" if n in system.symmetric else "none"
-        paths[n] = MatrixPath(grid, stacked, tag)
-    return paths
+            history[n][j - 1] = state[n]
+
+    def member_paths(b) -> dict[str, MatrixPath]:
+        paths = {}
+        for n, shape in system.layout:
+            vals = history[n] if b is None else history[n][:, b]
+            if len(shape) == 1:
+                vals = vals[:, :, np.newaxis]
+            paths[n] = MatrixPath(grid, vals, "symmetric" if n in system.symmetric else "none")
+        return paths
+
+    if not batch:
+        return member_paths(None)
+    return [member_paths(b) for b in range(batch[0])]
 
 
 def constant_path(grid: TimeGrid, matrix: np.ndarray, symmetry: str = "none") -> MatrixPath:

@@ -264,6 +264,12 @@ def m5_deterministic(aug: AugmentedLQ, t: float, Ptilde_at_t: np.ndarray,
     s = aug.snapshot(t)
     M1, M2, M3, _ = _m_terms(s, P)
     M1_inv, _ = gated_inverse(M1, "M1")
+    return m5_from_terms(s, P, phi, M1_inv, M2, M3)
+
+
+def m5_from_terms(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.ndarray,
+                  M2: np.ndarray, M3: np.ndarray) -> float:
+    """M5 from completion terms a caller has already formed (see m5_deterministic)."""
     Pdot = _pdot(s, P, M1_inv, M2)
     m3phi = M3 @ phi
     return float(2.0 * phi @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)

@@ -305,6 +305,26 @@ def test_closed_loop_divergence_names_path():
     assert "path 0 at step 2" in str(err.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_penalized_cost_overflow_names_control_and_path():
+    # the state stays finite, but a 1e300 control overflows the running cost
+    prob = make_partially_coupled()
+    aug, ric, offset, cfg = penalized_setup(prob, 8, 50, 22, 8)
+    huge = ("perturbed", 1e300, np.ones(aug.control_dim))
+    with pytest.raises(DivergedError) as err:
+        simulate_penalized_forward(aug, ric, offset, [("synthesized",), huge], prob, 8, cfg)
+    assert "cost of control 1, path 0 non-finite" in str(err.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_closed_loop_cost_overflow_names_path():
+    # X stays at its finite start value; its square does not fit a float
+    prob = FBLQProblem.from_constants(1, 1, 1, 1.0, A4=1.0, D4=1.0, x0=1e160)
+    with pytest.raises(DivergedError) as err:
+        pipeline(prob, 10, 20, 4, 7)
+    assert "cost of path 0 non-finite" in str(err.value)
+
+
 def test_penalized_perturbations_never_win():
     prob = make_partially_coupled()
     aug, ric, offset, cfg = penalized_setup(prob, 8, 500, 14, 2000)
