@@ -267,10 +267,10 @@ def cmd_simulate(args) -> int:
     sys_cl = closed_loop_coefficients(problem, sol, table=table)
     cfg = SimConfig(steps=steps, paths=args.paths, base_seed=args.seed,
                     store_paths=args.store_paths)
-    batch = simulate_closed_loop(problem, sys_cl, sol, law, cfg, table=table)
+    batch = simulate_closed_loop(problem, sys_cl, cfg)
     aug = build_augmented(problem)
     cost = cost_identity_check(problem, aug, sol, batch)
-    stat_max, stat_mean = stationarity_residual(problem, batch, sol)
+    stat_max, stat_mean = stationarity_residual(problem, batch)
     outdir = _outdir(args)
 
     n, m, k = problem.n, problem.m, problem.k

@@ -110,7 +110,9 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
     """The gain family for (d, d) blocks or (B, d, d) stacks of them.
 
     Offsets are (d,) vectors next to single blocks and (B, d, 1) columns
-    next to stacks; in a batch the conditions are one per member.
+    next to stacks; in a batch the conditions are one per member. The
+    snapshot holds single matrices or, from ``FBLQProblem.on_grid``, one
+    matrix per member.
     """
     n = P1.shape[-1] if n is None else n
     m = P3.shape[-1] if m is None else m
@@ -119,32 +121,32 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
     L1 = I_m - P2 @ s.C2 + P3 @ s.C4
     L1_inv, cond1 = gated_inverse(L1, "L1")
     W = P1 @ s.C2 + P2.mT @ s.C4  # recurring mixed weight, (n, m)
-    L2 = I_n - P2.mT @ s.C2.T + W @ L1_inv @ (P3 @ s.C2.T)
+    L2 = I_n - P2.mT @ s.C2.mT + W @ L1_inv @ (P3 @ s.C2.mT)
     L2_inv, cond2 = gated_inverse(L2, "L2")
-    zx = P2 @ s.A2 + P2 @ s.B2 @ P2 - P3 @ s.C1.T @ P1   # diffusion recovery, X-gain
-    zh = P2 @ s.B2 @ P3 + P3 @ s.C3.T + P3 @ s.C1.T @ P2.mT
-    L3 = P1 @ s.A2 + P1 @ s.B2 @ P2 + P2.mT @ s.C1.T @ P1 + W @ L1_inv @ zx
-    L4 = P2.mT @ s.C3.T + P2.mT @ s.C1.T @ P2.mT - P1 @ s.B2 @ P3 - W @ L1_inv @ zh
+    zx = P2 @ s.A2 + P2 @ s.B2 @ P2 - P3 @ s.C1.mT @ P1   # diffusion recovery, X-gain
+    zh = P2 @ s.B2 @ P3 + P3 @ s.C3.mT + P3 @ s.C1.mT @ P2.mT
+    L3 = P1 @ s.A2 + P1 @ s.B2 @ P2 + P2.mT @ s.C1.mT @ P1 + W @ L1_inv @ zx
+    L4 = P2.mT @ s.C3.mT + P2.mT @ s.C1.mT @ P2.mT - P1 @ s.B2 @ P3 - W @ L1_inv @ zh
     S1 = P1 + W @ L1_inv @ P2
-    L5 = s.D4 + s.D2.T @ L2_inv @ S1 @ s.D2
+    L5 = s.D4 + s.D2.mT @ L2_inv @ S1 @ s.D2
     L5_inv, cond5 = gated_inverse(L5, "L5")
-    L6 = -L5_inv @ (s.D1.T @ P1 + s.D2.T @ L2_inv @ L3)
-    L7 = -L5_inv @ (s.D1.T @ P2.mT + s.D2.T @ L2_inv @ L4 + s.D3.T)
+    L6 = -L5_inv @ (s.D1.mT @ P1 + s.D2.mT @ L2_inv @ L3)
+    L7 = -L5_inv @ (s.D1.mT @ P2.mT + s.D2.mT @ L2_inv @ L4 + s.D3.mT)
     L8 = L2_inv @ (L3 + S1 @ s.D2 @ L6)
     L9 = L2_inv @ (L4 + S1 @ s.D2 @ L7)
-    L10 = L1_inv @ (zx - P3 @ s.C2.T @ L8 + P2 @ s.D2 @ L6)
-    L11 = L1_inv @ (P2 @ s.D2 @ L7 - P3 @ s.C2.T @ L9 - zh)
+    L10 = L1_inv @ (zx - P3 @ s.C2.mT @ L8 + P2 @ s.D2 @ L6)
+    L11 = L1_inv @ (P2 @ s.D2 @ L7 - P3 @ s.C2.mT @ L9 - zh)
 
     S2 = S3 = S4 = S5 = None
     if phi1 is not None:
         v1 = np.zeros_like(phi1) if v1 is None else v1
         v2 = np.zeros_like(phi2) if v2 is None else v2
-        S2 = (P1 @ s.B2 @ phi2 + P2.mT @ (s.C1.T @ phi1) + v1
-              + W @ (L1_inv @ (P2 @ s.B2 @ phi2 - P3 @ (s.C1.T @ phi1) + v2)))
-        S3 = -L5_inv @ (s.D1.T @ phi1 + s.D2.T @ (L2_inv @ S2))
+        S2 = (P1 @ s.B2 @ phi2 + P2.mT @ (s.C1.mT @ phi1) + v1
+              + W @ (L1_inv @ (P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1) + v2)))
+        S3 = -L5_inv @ (s.D1.mT @ phi1 + s.D2.mT @ (L2_inv @ S2))
         S4 = L2_inv @ (S1 @ (s.D2 @ S3) + S2)
-        S5 = L1_inv @ (P2 @ (s.D2 @ S3) - P3 @ (s.C2.T @ S4)
-                       + P2 @ s.B2 @ phi2 - P3 @ (s.C1.T @ phi1) + v2)
+        S5 = L1_inv @ (P2 @ (s.D2 @ S3) - P3 @ (s.C2.mT @ S4)
+                       + P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1) + v2)
 
     return GainCoefficients(
         L1=L1, L2=L2, L3=L3, L4=L4, L5=L5, L6=L6, L7=L7, L8=L8, L9=L9,
@@ -613,17 +615,20 @@ def gain_condition_trace(problem: FBLQProblem, sol: DecoupledSolution,
                          samples: int) -> np.ndarray:
     """Rows (t, cond L1, cond L2, cond L5) at ``samples`` evenly spaced nodes.
 
-    The three inverses depend on the blocks only, so the offsets are left
-    out of the gain evaluation.
+    The sampled nodes are evaluated as one node stack. The three inverses
+    depend on the blocks only, so the offsets are left out of the gain
+    evaluation.
     """
     idx = np.unique(np.linspace(0, sol.grid.steps, samples).astype(int))
-    rows = np.empty((len(idx), 4))
-    for r, j in enumerate(idx):
-        P1, P2, P3, _, _ = sol.at_node(j)
-        t = float(sol.grid.nodes[j])
-        g = _gains(problem.snapshot(t), P1, P2, P3, n=problem.n, m=problem.m)
-        rows[r] = t, g.cond_L1, g.cond_L2, g.cond_L5
-    return rows
+    times = sol.grid.nodes[idx]
+    coeffs = problem.on_grid(sol.grid)
+    s = CoeffSnapshot(**{c: getattr(coeffs, c)[idx] for c in COEFF_NAMES})
+    try:
+        g = _gains(s, sol.P1.values[idx], sol.P2.values[idx], sol.P3.values[idx],
+                   n=problem.n, m=problem.m)
+    except SingularCoefficientError as err:
+        raise err.at_time(float(times[err.member])) from None
+    return np.column_stack([times, g.cond_L1, g.cond_L2, g.cond_L5])
 
 
 def fit_rate_exponent(indices, diffs, tail: bool = True) -> float | None:

@@ -1,4 +1,4 @@
-"""Optimal-feedback synthesis and closed-loop coefficient assembly.
+"""Optimal-feedback synthesis and the closed loop as affine maps on (X, h).
 
 The production form of the control is affine in the simulated pair (X, h):
 u = L6 X + L7 h + S3, defined on the whole horizon. The (X, Y)-form trades h
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decouple import DecoupledSolution, _gains
-from .errors import PreconditionError, SingularCoefficientError
+from .errors import DomainError, PreconditionError, SingularCoefficientError
 from .linalg import COND_GATE, gated_inverse
 from .model import FBLQProblem
 from .odes import TimeGrid
@@ -43,31 +43,24 @@ class GainTable:
 
 def evaluate_gain_table(problem: FBLQProblem, sol: DecoupledSolution,
                         grid: TimeGrid | None = None) -> GainTable:
-    """Evaluate the gain family nodewise, on ``grid`` or the solution's own.
+    """Evaluate the gain family at every node of ``grid`` (default: the
+    solution's own) as one node stack.
 
     On a refined grid the blocks are linearly interpolated and the gains
     recomputed from the interpolated blocks, which keeps the algebraic
-    relations between gains and blocks exact at every node.
+    relations between gains and blocks exact at every node. A singular
+    inverse is reported at the time of its first failing node.
     """
     grid = grid or sol.grid
-    own = grid.steps == sol.grid.steps and grid.T == sol.grid.T
-    rows = {name: [] for name in
-            ("P1", "P2", "P3", "phi1", "phi2",
-             "L6", "L7", "L8", "L9", "L10", "L11", "S3", "S4", "S5")}
-    for j, t in enumerate(grid.nodes):
-        if own:
-            P1, P2, P3, phi1, phi2 = sol.at_node(j)
-        else:
-            P1, P2, P3, phi1, phi2 = sol.value(float(t))
-        g = _gains(problem.snapshot(float(t)), P1, P2, P3, phi1, phi2,
-                   n=problem.n, m=problem.m)
-        for name, val in (("P1", P1), ("P2", P2), ("P3", P3),
-                          ("phi1", phi1), ("phi2", phi2),
-                          ("L6", g.L6), ("L7", g.L7), ("L8", g.L8),
-                          ("L9", g.L9), ("L10", g.L10), ("L11", g.L11),
-                          ("S3", g.S3), ("S4", g.S4), ("S5", g.S5)):
-            rows[name].append(val)
-    return GainTable(grid=grid, **{k: np.stack(v) for k, v in rows.items()})
+    P1, P2, P3, phi1, phi2 = (path.on_grid(grid) for path in
+                              (sol.P1, sol.P2, sol.P3, sol.phi1, sol.phi2))
+    try:
+        g = _gains(problem.on_grid(grid), P1, P2, P3, phi1, phi2, n=problem.n, m=problem.m)
+    except SingularCoefficientError as err:
+        raise err.at_time(float(grid.nodes[err.member])) from None
+    return GainTable(grid=grid, P1=P1, P2=P2, P3=P3, phi1=phi1[..., 0], phi2=phi2[..., 0],
+                     L6=g.L6, L7=g.L7, L8=g.L8, L9=g.L9, L10=g.L10, L11=g.L11,
+                     S3=g.S3[..., 0], S4=g.S4[..., 0], S5=g.S5[..., 0])
 
 
 @dataclass(frozen=True)
@@ -109,38 +102,48 @@ def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
     eps, guard_node = grid.guard_node(epsilon_guard)
     if not xy_form:
         guard_node = -1
-    k = problem.k
-    xy_X = np.empty((guard_node + 1, k, problem.n))
-    xy_Y = np.empty((guard_node + 1, k, problem.m))
-    xy_off = np.empty((guard_node + 1, k))
-    for j in range(guard_node + 1):
-        try:
-            P3_inv, _ = gated_inverse(table.P3[j], "P3", COND_GATE)
-        except SingularCoefficientError as err:
-            raise err.at_time(float(grid.nodes[j])) from None
-        L7P3 = table.L7[j] @ P3_inv
-        xy_X[j] = table.L6[j] + L7P3 @ table.P2[j]
-        xy_Y[j] = -L7P3
-        xy_off[j] = L7P3 @ table.phi2[j] + table.S3[j]
+    xy = slice(0, guard_node + 1)
+    try:
+        P3_inv, _ = gated_inverse(table.P3[xy], "P3", COND_GATE)
+    except SingularCoefficientError as err:
+        raise err.at_time(float(grid.nodes[err.member])) from None
+    L7P3 = table.L7[xy] @ P3_inv
     return FeedbackLaw(
         grid=grid,
         xh_gain_X=table.L6, xh_gain_h=table.L7, xh_offset=table.S3,
-        xy_gain_X=xy_X, xy_gain_Y=xy_Y, xy_offset=xy_off,
+        xy_gain_X=table.L6[xy] + L7P3 @ table.P2[xy], xy_gain_Y=-L7P3,
+        xy_offset=(L7P3 @ table.phi2[xy, :, np.newaxis])[..., 0] + table.S3[xy],
         epsilon_guard=eps, guard_node=guard_node,
     )
 
 
 @dataclass(frozen=True)
-class ClosedLoopSystem:
-    """Affine SDE coefficients of the optimal pair (X*, h*).
+class AffineMap:
+    """Node-indexed affine map on row vectors: S -> S gain[j]' + offset[j]."""
 
-    dX* = (N1 X* + N2 h* + N3) dt + (N4 X* + N5 h* + N6) dB
-    dh* = (N7 X* + N8 h* + N9) dt + (N10 X* + N11 h* + N12) dB
-    with X*(0) = x0 and h*(0) = (I + H P3(0))^-1 H (P2(0) x0 + phi2(0)).
+    gain: np.ndarray     # (N+1, rows, n+m)
+    offset: np.ndarray   # (N+1, rows)
+
+    def __call__(self, j: int, S: np.ndarray) -> np.ndarray:
+        return S @ self.gain[j].T + self.offset[j]
+
+
+@dataclass(frozen=True)
+class ClosedLoopSystem:
+    """The optimal pair S = (X*, h*) as an affine SDE on one grid.
+
+    ``dynamics(j, S)`` stacks [drift; diffusion] of dS = drift dt +
+    diffusion dB (2(n+m) rows). ``recovery(j, S)`` stacks the processes
+    (X, Y, Z, u, m, n, h), whose rows ``rows`` names; the block-diagonal
+    ``weight[j]`` = diag(A4, B4, C4, D4) prices its leading (X, Y, Z, u)
+    rows. S(0) = (x0, h0) with h0 = (I + H P3(0))^-1 H (P2(0) x0 + phi2(0)).
     """
 
     grid: TimeGrid
-    N: dict[str, np.ndarray]   # "N1".."N12" -> stacked per-node arrays
+    dynamics: AffineMap
+    recovery: AffineMap
+    rows: dict[str, slice]
+    weight: np.ndarray   # (N+1, n+2m+k, n+2m+k)
     x0: np.ndarray
     h0: np.ndarray
 
@@ -148,34 +151,59 @@ class ClosedLoopSystem:
 def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
                              grid: TimeGrid | None = None,
                              table: GainTable | None = None) -> ClosedLoopSystem:
-    """All twelve closed-loop coefficient paths plus the initial pair.
+    """The closed-loop maps on the grid of ``table`` (else ``grid``, else
+    the solution's own), whose steps must be a multiple of the solution's.
 
-    The diffusion offset of the forward equation is B2 phi2 + C2 S5 + D2 S3
-    (substituting the affine representations into the forward diffusion).
+    The recovery map is the affine decoupling at each node:
+
+        Y = P2 X - P3 h + phi2,     Z = L10 X + L11 h + S5,
+        u = L6 X + L7 h + S3,       m = P1 X + P2' h + phi1,
+        n = L8 X + L9 h + S4.
+
+    The dynamics map applies the state equation and the equation of h, the
+    adjoint of Y, to the recovered processes:
+
+        dX = (A1 X + B1 Y + C1 Z + D1 u) dt + (A2 X + B2 Y + C2 Z + D2 u) dB,
+        dh = (B3' h + B4 Y + B1' m + B2' n) dt + (C3' h + C4 Z + C1' m + C2' n) dB.
     """
+    grid = table.grid if table else (grid or sol.grid)
+    if grid.steps % sol.grid.steps != 0:
+        raise DomainError("simulation steps must be a multiple of the solution grid")
     table = table or evaluate_gain_table(problem, sol, grid)
-    grid = table.grid
-    names = [f"N{q}" for q in range(1, 13)]
-    out = {name: [] for name in names}
-    for j, t in enumerate(grid.nodes):
-        s = problem.snapshot(float(t))
-        P1, P2, P3 = table.P1[j], table.P2[j], table.P3[j]
-        phi1, phi2 = table.phi1[j], table.phi2[j]
-        out["N1"].append(s.A1 + s.B1 @ P2 + s.C1 @ table.L10[j] + s.D1 @ table.L6[j])
-        out["N2"].append(-s.B1 @ P3 + s.C1 @ table.L11[j] + s.D1 @ table.L7[j])
-        out["N3"].append(s.B1 @ phi2 + s.C1 @ table.S5[j] + s.D1 @ table.S3[j])
-        out["N4"].append(s.A2 + s.B2 @ P2 + s.C2 @ table.L10[j] + s.D2 @ table.L6[j])
-        out["N5"].append(-s.B2 @ P3 + s.C2 @ table.L11[j] + s.D2 @ table.L7[j])
-        out["N6"].append(s.B2 @ phi2 + s.C2 @ table.S5[j] + s.D2 @ table.S3[j])
-        out["N7"].append(s.B1.T @ P1 + s.B2.T @ table.L8[j] + s.B4 @ P2)
-        out["N8"].append(s.B3.T + s.B1.T @ P2.T + s.B2.T @ table.L9[j] - s.B4 @ P3)
-        out["N9"].append(s.B1.T @ phi1 + s.B2.T @ table.S4[j] + s.B4 @ phi2)
-        out["N10"].append(s.C1.T @ P1 + s.C2.T @ table.L8[j] + s.C4 @ table.L10[j])
-        out["N11"].append(s.C3.T + s.C1.T @ P2.T + s.C2.T @ table.L9[j] + s.C4 @ table.L11[j])
-        out["N12"].append(s.C1.T @ phi1 + s.C2.T @ table.S4[j] + s.C4 @ table.S5[j])
-    N = {name: np.stack(vals) for name, vals in out.items()}
+    s = problem.on_grid(grid)
+    n, m, k = problem.n, problem.m, problem.k
+    nodes = grid.steps + 1
+
+    def zero(r, c):
+        return np.zeros((nodes, r, c))
+
+    recovery = AffineMap(
+        np.block([[zero(n, n) + np.eye(n), zero(n, m)],
+                  [table.P2, -table.P3],
+                  [table.L10, table.L11],
+                  [table.L6, table.L7],
+                  [table.P1, table.P2.mT],
+                  [table.L8, table.L9],
+                  [zero(m, n), zero(m, m) + np.eye(m)]]),
+        np.concatenate([np.zeros((nodes, n)), table.phi2, table.S5, table.S3,
+                        table.phi1, table.S4, np.zeros((nodes, m))], axis=1))
+    rows, at = {}, 0
+    for name, width in (("X", n), ("Y", m), ("Z", m), ("u", k), ("m", n), ("n", n), ("h", m)):
+        rows[name], at = slice(at, at + width), at + width
+    # rows [drift X; drift h; diffusion X; diffusion h], columns (X, Y, Z, u, m, n, h)
+    coeff = np.block([[s.A1, s.B1, s.C1, s.D1, zero(n, n), zero(n, n), zero(n, m)],
+                      [zero(m, n), s.B4, zero(m, m), zero(m, k), s.B1.mT, s.B2.mT, s.B3.mT],
+                      [s.A2, s.B2, s.C2, s.D2, zero(n, n), zero(n, n), zero(n, m)],
+                      [zero(m, n), zero(m, m), s.C4, zero(m, k), s.C1.mT, s.C2.mT, s.C3.mT]])
+    dynamics = AffineMap(coeff @ recovery.gain,
+                         (coeff @ recovery.offset[..., np.newaxis])[..., 0])
+    weight = np.block([[s.A4, zero(n, m), zero(n, m), zero(n, k)],
+                       [zero(m, n), s.B4, zero(m, m), zero(m, k)],
+                       [zero(m, n), zero(m, m), s.C4, zero(m, k)],
+                       [zero(k, n), zero(k, m), zero(k, m), s.D4]])
     h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
-    return ClosedLoopSystem(grid=grid, N=N, x0=np.array(problem.x0), h0=h0)
+    return ClosedLoopSystem(grid=grid, dynamics=dynamics, recovery=recovery, rows=rows,
+                            weight=weight, x0=np.array(problem.x0), h0=h0)
 
 
 def initial_h(problem: FBLQProblem, P2_0: np.ndarray, P3_0: np.ndarray,
@@ -192,15 +220,14 @@ def initial_h(problem: FBLQProblem, P2_0: np.ndarray, P3_0: np.ndarray,
     return lhs @ (problem.H @ (P2_0 @ problem.x0 + phi2_0))
 
 
-def closed_form_h_representation(problem: FBLQProblem, sol: DecoupledSolution,
-                                 x_path: np.ndarray, increments: np.ndarray,
-                                 grid: TimeGrid,
-                                 table: GainTable | None = None) -> np.ndarray:
+def closed_form_h_representation(problem: FBLQProblem, sys: ClosedLoopSystem,
+                                 x_path: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """Stochastic-integral representation of h along one simulated path.
 
-    Valid for zero terminal offset. The fundamental solution of the
-    homogeneous h-dynamics is advanced by the Euler scheme with the same
-    Brownian increments as the simulated path, and the representation
+    Valid for zero terminal offset. With the h rows of the dynamics map,
+    dh = (a1 h + b1 X) dt + (a2 h + b2 X) dB, the fundamental solution of
+    the homogeneous h-dynamics is advanced by the Euler scheme with the
+    same Brownian increments as the simulated path, and the representation
 
         h(t) = Phi(t) [ h(0) + int_0^t Phi^-1 (b1 - a2 b2) X ds
                               + int_0^t Phi^-1 b2 X dB ]
@@ -211,29 +238,25 @@ def closed_form_h_representation(problem: FBLQProblem, sol: DecoupledSolution,
     """
     if float(np.max(np.abs(problem.xi))) != 0.0:
         raise PreconditionError("closed-form h representation requires xi = 0")
-    table = table or evaluate_gain_table(problem, sol, grid)
-    if table.grid.steps != grid.steps:
-        raise PreconditionError("gain table and path must share the grid")
     n, m = problem.n, problem.m
+    d = n + m
+    grid = sys.grid
     steps = grid.steps
     if x_path.shape != (steps + 1, n) or increments.shape != (steps,):
         raise PreconditionError("path arrays do not match the grid")
     dt = grid.dt
-    h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
+    drift_h, diffusion_h = sys.dynamics.gain[:, n:d], sys.dynamics.gain[:, d + n:]
+    a1, b1 = drift_h[..., n:], drift_h[..., :n]
+    a2, b2 = diffusion_h[..., n:], diffusion_h[..., :n]
 
     h = np.empty((steps + 1, m))
     phi = np.eye(m)
-    acc = h0.copy()
+    acc = sys.h0.copy()
     h[0] = phi @ acc
     for j in range(steps):
-        s = problem.snapshot(float(grid.nodes[j]))
-        a1 = s.B3.T + s.B1.T @ table.P2[j].T + s.B2.T @ table.L9[j] - s.B4 @ table.P3[j]
-        b1 = s.B1.T @ table.P1[j] + s.B2.T @ table.L8[j] + s.B4 @ table.P2[j]
-        a2 = s.C3.T + s.C1.T @ table.P2[j].T + s.C2.T @ table.L9[j] + s.C4 @ table.L11[j]
-        b2 = s.C1.T @ table.P1[j] + s.C2.T @ table.L8[j] + s.C4 @ table.L10[j]
         phi_inv, _ = gated_inverse(phi, "Phi")
         x = x_path[j]
-        acc = acc + phi_inv @ ((b1 - a2 @ b2) @ x * dt + (b2 @ x) * increments[j])
-        phi = phi + (a1 @ phi) * dt + (a2 @ phi) * increments[j]
+        acc = acc + phi_inv @ ((b1[j] - a2[j] @ b2[j]) @ x * dt + (b2[j] @ x) * increments[j])
+        phi = phi + (a1[j] @ phi) * dt + (a2[j] @ phi) * increments[j]
         h[j + 1] = phi @ acc
     return h

@@ -24,7 +24,7 @@ import numpy as np
 
 from .decouple import DecoupledSolution
 from .errors import DivergedError, DomainError, PreconditionError
-from .feedback import ClosedLoopSystem, FeedbackLaw, GainTable, evaluate_gain_table, initial_h
+from .feedback import ClosedLoopSystem, initial_h
 from .linalg import gated_inverse
 from .model import COEFF_NAMES, FBLQProblem
 from .odes import MatrixPath, TimeGrid
@@ -80,51 +80,37 @@ class SimBatch:
         return self.increments.shape[0]
 
 
-def _node_coeff_arrays(problem: FBLQProblem, grid: TimeGrid, names) -> dict[str, np.ndarray]:
-    out = {name: [] for name in names}
-    for t in grid.nodes:
-        s = problem.snapshot(float(t))
-        for name in names:
-            out[name].append(getattr(s, name))
-    return {name: np.stack(vals) for name, vals in out.items()}
+def _quad(S: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Quadratic form s' W s over the last axis of a stack of vectors."""
+    return np.einsum("...i,...i->...", S @ W, S)
 
 
 def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
-                         sol: DecoupledSolution, law: FeedbackLaw,
-                         cfg: SimConfig, table: GainTable | None = None) -> SimBatch:
-    """Euler-Maruyama on (X*, h*) with nodewise recovery of (Y, Z, m, n, u).
+                         cfg: SimConfig) -> SimBatch:
+    """Euler-Maruyama on S = (X*, h*) with nodewise recovery of (Y, Z, u, m, n).
 
-    The closed-loop system and the feedback law must live on the simulation
-    grid, whose step count must be a multiple of the solution grid's.
-    Deterministic: a fixed (base_seed, steps, paths) reproduces the batch
-    bit-exactly regardless of chunking.
+    The closed-loop system must live on the simulation grid. Each step
+    applies the recovery map, the running weight and the dynamics map to the
+    (paths, n+m) state. Deterministic: a fixed (base_seed, steps, paths)
+    reproduces the cost samples and trajectories bit-exactly regardless of
+    chunking.
     """
-    if sys.grid.steps != cfg.steps or law.grid.steps != cfg.steps:
-        raise DomainError("closed-loop system and law must be on the simulation grid")
-    if cfg.steps % sol.grid.steps != 0:
-        raise DomainError("simulation steps must be a multiple of the solution grid")
+    if sys.grid.steps != cfg.steps:
+        raise DomainError("closed-loop system must be on the simulation grid")
     grid = sys.grid
     dt = grid.dt
     steps = grid.steps
-    tab = table or evaluate_gain_table(problem, sol, grid)
-    N = sys.N
-    cost_mats = _node_coeff_arrays(problem, grid, ("A4", "B4", "C4", "D4"))
-
-    n, m = problem.n, problem.m
-    k = problem.k
+    n = problem.n
+    start = np.concatenate([sys.x0, sys.h0])
+    d = start.size
+    priced = sys.weight.shape[-1]   # the leading (X, Y, Z, u) rows
     stored = cfg.store_paths
-    traj = {
-        "X": np.empty((stored, steps + 1, n)), "h": np.empty((stored, steps + 1, m)),
-        "Y": np.empty((stored, steps + 1, m)), "Z": np.empty((stored, steps + 1, m)),
-        "m": np.empty((stored, steps + 1, n)), "n": np.empty((stored, steps + 1, n)),
-        "u": np.empty((stored, steps + 1, k)),
-    }
+    traj = {name: np.empty((stored, steps + 1, rows.stop - rows.start))
+            for name, rows in sys.rows.items()}
     stored_db = np.empty((stored, steps))
     cost = np.empty(cfg.paths)
-    sum_x = np.zeros((steps + 1, n))
-    sumsq_x = np.zeros((steps + 1, n))
-    sum_h = np.zeros((steps + 1, m))
-    sumsq_h = np.zeros((steps + 1, m))
+    sum_s = np.zeros((steps + 1, d))
+    sumsq_s = np.zeros((steps + 1, d))
 
     for p0 in range(0, cfg.paths, cfg.chunk):
         cnum = min(cfg.chunk, cfg.paths - p0)
@@ -132,71 +118,52 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
         dB = increment_block(cfg.base_seed, p0, cnum, steps, dt)
         if keep:
             stored_db[p0:p0 + keep] = dB[:keep]
-        X = np.broadcast_to(sys.x0, (cnum, n)).copy()
-        h = np.broadcast_to(sys.h0, (cnum, m)).copy()
+        S = np.broadcast_to(start, (cnum, d)).copy()
         qsum = np.zeros(cnum)
         q_ends = np.zeros(cnum)
-        Y0 = None
         # overflow shows up as a non-finite state, which the step check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps + 1):
-                Y = X @ tab.P2[j].T - h @ tab.P3[j].T + tab.phi2[j]
-                Z = X @ tab.L10[j].T + h @ tab.L11[j].T + tab.S5[j]
-                u = X @ law.xh_gain_X[j].T + h @ law.xh_gain_h[j].T + law.xh_offset[j]
-                madj = X @ tab.P1[j].T + h @ tab.P2[j] + tab.phi1[j]
-                nadj = X @ tab.L8[j].T + h @ tab.L9[j].T + tab.S4[j]
+                R = sys.recovery(j, S)
                 if j == 0:
-                    Y0 = Y
-                q = (np.einsum("pi,ij,pj->p", X, cost_mats["A4"][j], X)
-                     + np.einsum("pi,ij,pj->p", Y, cost_mats["B4"][j], Y)
-                     + np.einsum("pi,ij,pj->p", Z, cost_mats["C4"][j], Z)
-                     + np.einsum("pi,ij,pj->p", u, cost_mats["D4"][j], u))
+                    Y0 = R[:, sys.rows["Y"]]
+                q = _quad(R[:, :priced], sys.weight[j])
                 qsum += q
                 if j == 0 or j == steps:
                     q_ends += q
-                sum_x[j] += X.sum(axis=0)
-                sumsq_x[j] += (X * X).sum(axis=0)
-                sum_h[j] += h.sum(axis=0)
-                sumsq_h[j] += (h * h).sum(axis=0)
+                sum_s[j] += S.sum(axis=0)
+                sumsq_s[j] += (S * S).sum(axis=0)
                 if keep:
-                    for name, arr in (("X", X), ("h", h), ("Y", Y), ("Z", Z),
-                                      ("m", madj), ("n", nadj), ("u", u)):
-                        traj[name][p0:p0 + keep, j] = arr[:keep]
+                    for name, rows in sys.rows.items():
+                        traj[name][p0:p0 + keep, j] = R[:keep, rows]
                 if j == steps:
                     break
-                db = dB[:, j:j + 1]
-                X_next = X + (X @ N["N1"][j].T + h @ N["N2"][j].T + N["N3"][j]) * dt \
-                    + (X @ N["N4"][j].T + h @ N["N5"][j].T + N["N6"][j]) * db
-                h_next = h + (X @ N["N7"][j].T + h @ N["N8"][j].T + N["N9"][j]) * dt \
-                    + (X @ N["N10"][j].T + h @ N["N11"][j].T + N["N12"][j]) * db
-                if not (np.all(np.isfinite(X_next)) and np.all(np.isfinite(h_next))):
-                    bad = np.where(~(np.isfinite(X_next).all(axis=1)
-                                     & np.isfinite(h_next).all(axis=1)))[0][0]
+                F = sys.dynamics(j, S)
+                S_next = S + F[:, :d] * dt + F[:, d:] * dB[:, j:j + 1]
+                if not np.all(np.isfinite(S_next)):
+                    bad = int(np.argmin(np.isfinite(S_next).all(axis=1)))
                     raise DivergedError(float(grid.nodes[j]),
-                                        f"path {p0 + int(bad)} at step {j + 1}")
-                X, h = X_next, h_next
+                                        f"path {p0 + bad} at step {j + 1}")
+                S = S_next
             integral = dt * (qsum - 0.5 * q_ends)
-            terminal = np.einsum("pi,ij,pj->p", X, problem.G, X)
-            initial = np.einsum("pi,ij,pj->p", Y0, problem.H, Y0)
-            cost[p0:p0 + cnum] = 0.5 * (integral + terminal + initial)
+            cost[p0:p0 + cnum] = 0.5 * (integral + _quad(S[:, :n], problem.G)
+                                        + _quad(Y0, problem.H))
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost[p0:p0 + cnum])):
             bad = int(np.argmin(np.isfinite(cost[p0:p0 + cnum])))
             raise DivergedError(float(grid.T), f"cost of path {p0 + bad} non-finite")
 
-    mean_x = sum_x / cfg.paths
-    mean_h = sum_h / cfg.paths
+    mean = sum_s / cfg.paths
     if cfg.paths > 1:
-        var_x = np.maximum(sumsq_x / cfg.paths - mean_x ** 2, 0.0) * cfg.paths / (cfg.paths - 1)
-        var_h = np.maximum(sumsq_h / cfg.paths - mean_h ** 2, 0.0) * cfg.paths / (cfg.paths - 1)
+        var = np.maximum(sumsq_s / cfg.paths - mean ** 2, 0.0) * cfg.paths / (cfg.paths - 1)
     else:
-        var_x = np.zeros_like(mean_x)
-        var_h = np.zeros_like(mean_h)
+        var = np.zeros_like(mean)
+    sem = np.sqrt(var / cfg.paths)
     return SimBatch(
         grid=grid, config=cfg, n_paths=cfg.paths, cost_samples=cost,
         trajectories=traj, increments=stored_db,
-        node_mean={"X": mean_x, "h": mean_h},
-        node_sem={"X": np.sqrt(var_x / cfg.paths), "h": np.sqrt(var_h / cfg.paths)},
+        node_mean={"X": mean[:, :n], "h": mean[:, n:]},
+        node_sem={"X": sem[:, :n], "h": sem[:, n:]},
     )
 
 
@@ -238,12 +205,12 @@ def evaluate_cost(problem: FBLQProblem, batch: SimBatch, recompute: bool = False
     if batch.stored < batch.n_paths:
         raise PreconditionError("recompute requires every path stored")
     grid = batch.grid
-    mats = _node_coeff_arrays(problem, grid, ("A4", "B4", "C4", "D4"))
+    s = problem.on_grid(grid)
     tr = batch.trajectories
-    q = (np.einsum("pti,tij,ptj->pt", tr["X"], mats["A4"], tr["X"])
-         + np.einsum("pti,tij,ptj->pt", tr["Y"], mats["B4"], tr["Y"])
-         + np.einsum("pti,tij,ptj->pt", tr["Z"], mats["C4"], tr["Z"])
-         + np.einsum("pti,tij,ptj->pt", tr["u"], mats["D4"], tr["u"]))
+    q = (np.einsum("pti,tij,ptj->pt", tr["X"], s.A4, tr["X"])
+         + np.einsum("pti,tij,ptj->pt", tr["Y"], s.B4, tr["Y"])
+         + np.einsum("pti,tij,ptj->pt", tr["Z"], s.C4, tr["Z"])
+         + np.einsum("pti,tij,ptj->pt", tr["u"], s.D4, tr["u"]))
     integral = np.trapezoid(q, dx=grid.dt, axis=1)
     terminal = np.einsum("pi,ij,pj->p", tr["X"][:, -1], problem.G, tr["X"][:, -1])
     initial = np.einsum("pi,ij,pj->p", tr["Y"][:, 0], problem.H, tr["Y"][:, 0])
@@ -315,8 +282,7 @@ def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
                       m5_integral, truncation, z)
 
 
-def stationarity_residual(problem: FBLQProblem, batch: SimBatch,
-                          sol: DecoupledSolution) -> tuple[float, float]:
+def stationarity_residual(problem: FBLQProblem, batch: SimBatch) -> tuple[float, float]:
     """Max and mean norm of the first-order optimality residual
     D4 u + D1' m + D2' n + D3' h along the stored paths.
 
@@ -324,19 +290,17 @@ def stationarity_residual(problem: FBLQProblem, batch: SimBatch,
     arithmetic, so the residual measures floating-point and consistency
     error only.
     """
-    grid = batch.grid
-    mats = _node_coeff_arrays(problem, grid, ("D1", "D2", "D3", "D4"))
+    s = problem.on_grid(batch.grid)
     tr = batch.trajectories
-    r = (np.einsum("tij,ptj->pti", mats["D4"], tr["u"])
-         + np.einsum("tji,ptj->pti", mats["D1"], tr["m"])
-         + np.einsum("tji,ptj->pti", mats["D2"], tr["n"])
-         + np.einsum("tji,ptj->pti", mats["D3"], tr["h"]))
+    r = (np.einsum("tij,ptj->pti", s.D4, tr["u"])
+         + np.einsum("tji,ptj->pti", s.D1, tr["m"])
+         + np.einsum("tji,ptj->pti", s.D2, tr["n"])
+         + np.einsum("tji,ptj->pti", s.D3, tr["h"]))
     norms = np.sqrt(np.sum(r * r, axis=2))
     return float(np.max(norms)), float(np.mean(norms))
 
 
-def decoupling_residual(batch: SimBatch, sol: DecoupledSolution,
-                        problem: FBLQProblem) -> tuple[float, float]:
+def decoupling_residual(batch: SimBatch, problem: FBLQProblem) -> tuple[float, float]:
     """Re-simulate Y backward along each stored path and compare.
 
     Y is anchored at F X(T) + xi and advanced by explicit backward Euler on
@@ -346,7 +310,7 @@ def decoupling_residual(batch: SimBatch, sol: DecoupledSolution,
     """
     grid = batch.grid
     dt = grid.dt
-    mats = _node_coeff_arrays(problem, grid, ("A3", "B3", "C3", "D3"))
+    s = problem.on_grid(grid)
     tr = batch.trajectories
     X, Y, Z, u = tr["X"], tr["Y"], tr["Z"], tr["u"]
     dB = batch.increments
@@ -355,8 +319,8 @@ def decoupling_residual(batch: SimBatch, sol: DecoupledSolution,
     total = np.sqrt(np.sum((y_hat - Y[:, -1]) ** 2, axis=1))
     count = 1
     for j in range(grid.steps - 1, -1, -1):
-        drift = (X[:, j] @ mats["A3"][j].T + y_hat @ mats["B3"][j].T
-                 + Z[:, j] @ mats["C3"][j].T + u[:, j] @ mats["D3"][j].T)
+        drift = (X[:, j] @ s.A3[j].T + y_hat @ s.B3[j].T
+                 + Z[:, j] @ s.C3[j].T + u[:, j] @ s.D3[j].T)
         y_hat = y_hat + drift * dt - Z[:, j] * dB[:, j:j + 1]
         err = np.sqrt(np.sum((y_hat - Y[:, j]) ** 2, axis=1))
         worst = max(worst, float(np.max(err)))
@@ -390,11 +354,6 @@ def _perturbation(control, steps: int, dim: int) -> tuple[float, np.ndarray]:
     return eps, delta
 
 
-def _quad(S: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Quadratic form s' W s over the last axis of a stack of vectors."""
-    return np.einsum("...i,...i->...", S @ W, S)
-
-
 def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
                                offset_tilde: MatrixPath | None, controls,
                                problem: FBLQProblem, i: int,
@@ -418,7 +377,7 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     grid = TimeGrid(problem.T, cfg.steps)
     d = aug.state_dim
     cdim = aug.control_dim
-    n, m = problem.n, problem.m
+    n = problem.n
     nc = len(controls)
     Pt = riccati_i.Ptilde.on_grid(grid)
     if offset_tilde is not None:
@@ -446,11 +405,10 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
         offs[j] = M1_inv @ (mc.M3 @ phit[j])
         A[j], B[j], C[j], D[j], Q[j], R[j] = s.A, s.B, s.C, s.D, s.Q, s.R
 
-    Pt3_inv, _ = gated_inverse(Pt[0][n:, n:], "P3_tilde")
-    P2_0 = -Pt3_inv @ Pt[0][n:, :n]
+    P3_0, _ = gated_inverse(Pt[0][n:, n:], "P3_tilde")
+    P2_0 = -P3_0 @ Pt[0][n:, :n]
     phi2_0 = phit[0][n:] - P2_0 @ phit[0][:n]
-    y0_lhs, _ = gated_inverse(np.eye(m) + Pt3_inv @ problem.H, "I + P3(0)*H")
-    y0 = y0_lhs @ (P2_0 @ problem.x0 + phi2_0)
+    y0 = P2_0 @ problem.x0 + phi2_0 - P3_0 @ initial_h(problem, P2_0, P3_0, phi2_0)
     start = np.concatenate([problem.x0, y0])
 
     dt = grid.dt

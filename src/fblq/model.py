@@ -253,6 +253,17 @@ class FBLQProblem:
         idx = max(bisect.bisect_right(self.merged_breakpoints, t) - 1, 0)
         return self._piece_snapshots[idx]
 
+    def on_grid(self, grid) -> CoeffSnapshot:
+        """Snapshot whose fields stack one matrix per node of ``grid``.
+
+        Each field has shape (steps+1, r, c); node j holds
+        ``snapshot(grid.nodes[j])`` (the same right-continuous piece rule).
+        """
+        idx = np.maximum(
+            np.searchsorted(self.merged_breakpoints, grid.nodes, side="right") - 1, 0)
+        return CoeffSnapshot(**{c: np.stack([getattr(s, c) for s in self._piece_snapshots])[idx]
+                                for c in COEFF_NAMES})
+
 def eval_coeffs(problem: FBLQProblem, t: float) -> CoeffSnapshot:
     """All sixteen coefficients at time ``t``.
 

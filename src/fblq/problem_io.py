@@ -132,7 +132,8 @@ def load_problem(path) -> FBLQProblem:
     except OSError as err:
         raise ParseError(str(err), str(path)) from None
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser where installed; both loaders build the same document
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as err:
         raise ParseError(f"invalid YAML: {err}", str(path)) from None
     return problem_from_dict(doc, source=str(path))

@@ -13,10 +13,12 @@ The named instances are reused across modules:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fblq.model import FBLQProblem
+from fblq.model import CoefficientFunction, FBLQProblem
 from fblq.odes import TimeGrid
 
 
@@ -142,6 +144,16 @@ def random_matrix_problem(seed: int, n: int, m: int, k: int) -> FBLQProblem:
         D1=mat(n, k, 0.5), D2=mat(n, k, 0.5), D3=mat(m, k, 0.5), D4=spd(k),
         F=mat(m, n, 0.6), G=spd(n), H=psd(m),
         xi=rng.uniform(-0.6, 0.6, m), x0=rng.uniform(-1.0, 1.0, n))
+
+
+def piecewise_matrix_problem() -> FBLQProblem:
+    """A 2x1x1 random instance with A1 switching at 0.5 and D4 at 0.25."""
+    prob = random_matrix_problem(8123, 2, 1, 1)
+    A1 = prob.A1.values[0]
+    D4 = prob.D4.values[0]
+    return replace(prob,
+                   A1=CoefficientFunction.piecewise([0.0, 0.5], [A1, -A1]),
+                   D4=CoefficientFunction.piecewise([0.0, 0.25], [D4, 2.0 * D4]))
 
 
 @pytest.fixture(scope="session")

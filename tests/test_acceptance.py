@@ -44,7 +44,7 @@ from fblq.decouple import (
     solve_q_equation,
     transform_from_riccati,
 )
-from fblq.feedback import closed_loop_coefficients, evaluate_gain_table, synthesize
+from fblq.feedback import closed_loop_coefficients, evaluate_gain_table
 from fblq.linalg import min_eig_sym
 from fblq.mc import (
     SimConfig,
@@ -87,10 +87,9 @@ def mc_pipeline(prob, ode_steps, sim_steps, paths, seed, store=1):
     sol = integrate_direct(prob, EXACT, grid)
     sim_grid = TimeGrid(prob.T, sim_steps)
     table = evaluate_gain_table(prob, sol, sim_grid)
-    law = synthesize(prob, sol, table=table, xy_form=False)
     sys_cl = closed_loop_coefficients(prob, sol, table=table)
     cfg = SimConfig(steps=sim_steps, paths=paths, base_seed=seed, store_paths=store)
-    batch = simulate_closed_loop(prob, sys_cl, sol, law, cfg, table=table)
+    batch = simulate_closed_loop(prob, sys_cl, cfg)
     return sol, batch
 
 
@@ -245,7 +244,7 @@ def test_criterion_09_stationarity_residual():
     means = {}
     for steps in (2000, 4000):
         sol, batch = mc_pipeline(prob, 2000, steps, paths=256, seed=99, store=256)
-        _, mean_res = stationarity_residual(prob, batch, sol)
+        _, mean_res = stationarity_residual(prob, batch)
         bound = 1e-6 + 10.0 * batch.grid.dt * scale
         assert mean_res <= bound, (steps, mean_res, bound)
         means[steps] = mean_res

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fblq.decouple as decouple
-from conftest import make_partially_coupled, random_matrix_problem
+from conftest import make_partially_coupled, piecewise_matrix_problem, random_matrix_problem
 from fblq.cli import _suite_monotone
 from fblq.decouple import (
     EXACT,
@@ -31,15 +31,6 @@ BLOCKS = ("P1", "P2", "P3", "phi1", "phi2")
 GRID = TimeGrid(1.0, 40)
 
 
-def piecewise_instance():
-    prob = random_matrix_problem(8123, 2, 1, 1)
-    A1 = prob.A1.values[0]
-    D4 = prob.D4.values[0]
-    return replace(prob,
-                   A1=CoefficientFunction.piecewise([0.0, 0.5], [A1, -A1]),
-                   D4=CoefficientFunction.piecewise([0.0, 0.25], [D4, 2.0 * D4]))
-
-
 def singular_l1_instance():
     """L1(T) = 1 - F C2 + C4/i = 1 - 1.125 + 1/i vanishes exactly at i = 8."""
     prob = random_matrix_problem(31, 2, 1, 1)
@@ -52,7 +43,7 @@ INSTANCES = {
     "2x1x1": lambda: random_matrix_problem(4101, 2, 1, 1),
     "1x2x1": lambda: random_matrix_problem(4102, 1, 2, 1),
     "4x3x2": lambda: random_matrix_problem(4103, 4, 3, 2),
-    "piecewise": piecewise_instance,
+    "piecewise": piecewise_matrix_problem,
 }
 
 

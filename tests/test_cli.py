@@ -1,12 +1,15 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fblq.cli import main
 from fblq.decouple import integrate_direct, l_coefficients
 from fblq.errors import ParseError
+from fblq.model import CoefficientFunction
 from fblq.odes import TimeGrid
 from fblq.problem_io import load_problem, problem_from_dict
 from fblq.riccati import build_augmented, solve_auxiliary_riccati
@@ -24,6 +27,27 @@ def test_load_example_files():
                  "backward_lq", "deterministic_coupled", "piecewise_demo"):
         prob = load_problem(PROBLEMS / f"{name}.yaml")
         assert prob.T == 1.0
+
+
+def test_libyaml_and_pure_python_loaders_agree():
+    for path in sorted(PROBLEMS.glob("*.yaml")):
+        fast = load_problem(path)
+        slow = problem_from_dict(yaml.load(path.read_text(encoding="utf-8"),
+                                           Loader=yaml.SafeLoader))
+        for field in dataclasses.fields(fast):
+            a, b = getattr(fast, field.name), getattr(slow, field.name)
+            if isinstance(a, CoefficientFunction):
+                assert np.array_equal(a.breakpoints, b.breakpoints), (path.name, field.name)
+                a, b = a.values, b.values
+            assert np.array_equal(a, b), (path.name, field.name)
+
+
+def test_invalid_yaml_is_a_parse_error(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("dimensions: {n: 1, m: 1\nhorizon: [1.0\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_problem(path)
+    assert str(err.value).startswith("invalid YAML")
 
 
 def test_scalar_shorthand_accepted():

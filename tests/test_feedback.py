@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,12 @@ from conftest import (
     make_indefinite,
     make_partially_coupled,
     make_smoke,
+    piecewise_matrix_problem,
+    random_matrix_problem,
     random_scalar_problem,
 )
-from fblq.decouple import EXACT, integrate_direct
-from fblq.errors import PreconditionError, SingularCoefficientError
+from fblq.decouple import EXACT, integrate_direct, l_coefficients
+from fblq.errors import DomainError, PreconditionError, SingularCoefficientError
 from fblq.feedback import (
     closed_form_h_representation,
     closed_loop_coefficients,
@@ -17,8 +21,52 @@ from fblq.feedback import (
     synthesize,
 )
 from fblq.mc import SimConfig, simulate_closed_loop
-from fblq.model import FBLQProblem
+from fblq.model import CoefficientFunction, FBLQProblem
 from fblq.odes import TimeGrid
+
+
+TABLE_INSTANCES = {
+    "fully_coupled": make_fully_coupled,
+    "2x1x1": lambda: random_matrix_problem(4101, 2, 1, 1),
+    "4x3x2": lambda: random_matrix_problem(4103, 4, 3, 2),
+    "piecewise": piecewise_matrix_problem,
+}
+
+
+@pytest.mark.parametrize("factor", [1, 4])
+@pytest.mark.parametrize("name", sorted(TABLE_INSTANCES))
+def test_gain_table_equals_per_node_gain_family(name, factor):
+    prob = TABLE_INSTANCES[name]()
+    sol = integrate_direct(prob, EXACT, TimeGrid(1.0, 20))
+    grid = sol.grid.refined(factor)
+    table = evaluate_gain_table(prob, sol, grid)
+    for j, t in enumerate(grid.nodes):
+        blocks = sol.value(float(t))
+        g = l_coefficients(prob, *blocks, t=float(t))
+        for key, val in zip(("P1", "P2", "P3", "phi1", "phi2"), blocks):
+            assert np.array_equal(getattr(table, key)[j], val), (j, key)
+        for key in ("L6", "L7", "L8", "L9", "L10", "L11", "S3", "S4", "S5"):
+            assert np.array_equal(getattr(table, key)[j], getattr(g, key)), (j, key)
+
+
+def test_gain_table_reports_the_time_of_the_first_singular_node():
+    prob = make_fully_coupled()
+    sol = integrate_direct(prob, EXACT, TimeGrid(1.0, 20))
+    # L5 = D4 + D2' L2^-1 S1 D2 vanishes once D4 and D2 do, from t = 0.5 on
+    cut = replace(prob,
+                  D2=CoefficientFunction.piecewise([0.0, 0.5], [[[1.0]], [[0.0]]]),
+                  D4=CoefficientFunction.piecewise([0.0, 0.5], [[[1.0]], [[0.0]]]))
+    with pytest.raises(SingularCoefficientError) as err:
+        evaluate_gain_table(cut, sol)
+    assert err.value.name == "L5"
+    assert err.value.time == 0.5
+
+
+def test_closed_loop_grid_must_be_a_multiple_of_the_solution_grid():
+    prob = make_fully_coupled()
+    sol = integrate_direct(prob, EXACT, TimeGrid(1.0, 100))
+    with pytest.raises(DomainError):
+        closed_loop_coefficients(prob, sol, TimeGrid(1.0, 150))
 
 
 def test_zero_dynamics_all_gains_zero(grid1000):
@@ -82,7 +130,7 @@ def test_closed_loop_zero_dynamics(grid1000):
     prob = make_smoke()
     sol = integrate_direct(prob, EXACT, grid1000)
     sys_cl = closed_loop_coefficients(prob, sol)
-    for name, arr in sys_cl.N.items():
+    for name, arr in (("gain", sys_cl.dynamics.gain), ("offset", sys_cl.dynamics.offset)):
         assert np.max(np.abs(arr)) == 0.0, name
     assert np.max(np.abs(sys_cl.h0)) == 0.0
 
@@ -105,6 +153,12 @@ def test_closed_loop_matches_inline_reevaluation(grid1000):
     sol = integrate_direct(prob, EXACT, grid1000)
     table = evaluate_gain_table(prob, sol)
     sys_cl = closed_loop_coefficients(prob, sol, table=table)
+    # rows of the dynamics map: drift X, drift h, diffusion X, diffusion h
+    N = {}
+    for q, row in enumerate((0, 2, 1, 3)):
+        N[f"N{3 * q + 1}"] = sys_cl.dynamics.gain[:, row, 0]
+        N[f"N{3 * q + 2}"] = sys_cl.dynamics.gain[:, row, 1]
+        N[f"N{3 * q + 3}"] = sys_cl.dynamics.offset[:, row]
     s = prob.snapshot(0.0)
     c = {n: float(getattr(s, n)[0, 0]) for n in
          ("A1", "A2", "B1", "B2", "B3", "B4", "C1", "C2", "C3", "C4",
@@ -134,7 +188,7 @@ def test_closed_loop_matches_inline_reevaluation(grid1000):
             "N12": c["C1"] * phi1 + c["C2"] * S4 + c["C4"] * S5,
         }
         for name, val in expected.items():
-            assert float(sys_cl.N[name][j].reshape(-1)[0]) == pytest.approx(val, abs=1e-12), name
+            assert float(N[name][j].reshape(-1)[0]) == pytest.approx(val, abs=1e-12), name
 
 
 def test_gain_continuity(grid2000):
@@ -167,7 +221,7 @@ def test_h_representation_zero_coupling():
     sol = integrate_direct(prob, EXACT, grid)
     x_path = np.full((501, 1), 2.0)
     incs = np.zeros(500)
-    h = closed_form_h_representation(prob, sol, x_path, incs, grid)
+    h = closed_form_h_representation(prob, closed_loop_coefficients(prob, sol), x_path, incs)
     assert np.max(np.abs(h)) == 0.0
 
 
@@ -176,8 +230,8 @@ def test_h_representation_requires_zero_terminal_offset(grid1000):
     sol = integrate_direct(prob, EXACT, grid1000)
     with pytest.raises(PreconditionError):
         closed_form_h_representation(
-            prob, sol, np.zeros((grid1000.steps + 1, 1)),
-            np.zeros(grid1000.steps), grid1000)
+            prob, closed_loop_coefficients(prob, sol), np.zeros((grid1000.steps + 1, 1)),
+            np.zeros(grid1000.steps))
 
 
 def test_h_representation_constant_without_feedthrough():
@@ -196,7 +250,8 @@ def test_h_representation_constant_without_feedthrough():
     b1 = s.B1.T @ table.P1[0] + s.B2.T @ table.L8[0] + s.B4 @ table.P2[0]
     b2 = s.C1.T @ table.P1[0] + s.C2.T @ table.L8[0] + s.C4 @ table.L10[0]
     assert np.max(np.abs(b1)) == 0.0 and np.max(np.abs(b2)) == 0.0
-    h = closed_form_h_representation(prob, sol, x_path, incs, grid, table=table)
+    h = closed_form_h_representation(
+        prob, closed_loop_coefficients(prob, sol, table=table), x_path, incs)
     assert np.max(np.abs(h - h[0])) == 0.0
     assert np.max(np.abs(h[0])) == 0.0
 
@@ -208,14 +263,13 @@ def test_h_representation_matches_simulation():
         grid = TimeGrid(1.0, steps)
         sol = integrate_direct(prob, EXACT, grid)
         table = evaluate_gain_table(prob, sol, grid)
-        law = synthesize(prob, sol, table=table, xy_form=False)
         sys_cl = closed_loop_coefficients(prob, sol, table=table)
         cfg = SimConfig(steps=steps, paths=16, base_seed=99, store_paths=16)
-        batch = simulate_closed_loop(prob, sys_cl, sol, law, cfg, table=table)
+        batch = simulate_closed_loop(prob, sys_cl, cfg)
         per_path = [
             np.max(np.abs(closed_form_h_representation(
-                prob, sol, batch.trajectories["X"][p], batch.increments[p],
-                grid, table=table) - batch.trajectories["h"][p]))
+                prob, sys_cl, batch.trajectories["X"][p], batch.increments[p])
+                - batch.trajectories["h"][p]))
             for p in range(16)
         ]
         errs[steps] = float(np.mean(per_path))

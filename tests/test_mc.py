@@ -11,7 +11,7 @@ from conftest import (
 )
 from fblq.decouple import EXACT, integrate_direct
 from fblq.errors import DivergedError
-from fblq.feedback import closed_loop_coefficients, evaluate_gain_table, synthesize
+from fblq.feedback import closed_loop_coefficients, evaluate_gain_table
 from fblq.mc import (
     SimConfig,
     coefficient_scale,
@@ -34,11 +34,10 @@ def pipeline(prob, ode_steps, sim_steps, paths, seed, store=None):
     sol = integrate_direct(prob, EXACT, grid)
     sim_grid = TimeGrid(prob.T, sim_steps)
     table = evaluate_gain_table(prob, sol, sim_grid)
-    law = synthesize(prob, sol, table=table, xy_form=False)
     sys_cl = closed_loop_coefficients(prob, sol, table=table)
     cfg = SimConfig(steps=sim_steps, paths=paths, base_seed=seed,
                     store_paths=store if store is not None else min(paths, 64))
-    batch = simulate_closed_loop(prob, sys_cl, sol, law, cfg, table=table)
+    batch = simulate_closed_loop(prob, sys_cl, cfg)
     return sol, batch
 
 
@@ -97,7 +96,10 @@ def test_deterministic_limit_matches_rk4():
     assert np.max(np.abs(batch.trajectories["X"][0] - batch.trajectories["X"][1])) == 0.0
 
     sys_cl = closed_loop_coefficients(prob, sol)
-    N = sys_cl.N
+    # drift rows (X, h) of the dynamics map, split into X, h and offset columns
+    gain, offset = sys_cl.dynamics.gain[:, :2], sys_cl.dynamics.offset[:, :2]
+    N = {"N1": gain[:, :1, :1], "N2": gain[:, :1, 1:], "N3": offset[:, :1],
+         "N7": gain[:, 1:, :1], "N8": gain[:, 1:, 1:], "N9": offset[:, 1:]}
     grid = batch.grid
     dt = grid.dt
     x, h = np.array([1.0]), sys_cl.h0.copy()
@@ -139,10 +141,9 @@ def test_seed_reproducibility_and_chunk_invariance():
 
     grid = TimeGrid(prob.T, 1000)
     table = evaluate_gain_table(prob, sol, grid)
-    law = synthesize(prob, sol, table=table, xy_form=False)
     sys_cl = closed_loop_coefficients(prob, sol, table=table)
     cfg = SimConfig(steps=1000, paths=300, base_seed=11, store_paths=16, chunk=37)
-    batch_c = simulate_closed_loop(prob, sys_cl, sol, law, cfg, table=table)
+    batch_c = simulate_closed_loop(prob, sys_cl, cfg)
     assert np.array_equal(batch_a.cost_samples, batch_c.cost_samples)
 
 
@@ -187,7 +188,7 @@ def test_cost_identity_coupled_instance():
 def test_stationarity_residual_is_floating_point_noise():
     prob = make_fully_coupled()
     sol, batch = pipeline(prob, 500, 1000, paths=64, seed=8, store=64)
-    smax, smean = stationarity_residual(prob, batch, sol)
+    smax, smean = stationarity_residual(prob, batch)
     assert smean <= 1e-6 + 10.0 * batch.grid.dt * coefficient_scale(prob)
     assert smax < 1e-10  # algebraically zero; only roundoff remains
 
@@ -196,7 +197,7 @@ def test_stationarity_detects_perturbed_control():
     prob = make_fully_coupled()
     sol, batch = pipeline(prob, 500, 500, paths=8, seed=9, store=8)
     batch.trajectories["u"] = batch.trajectories["u"] + 0.1
-    smax, smean = stationarity_residual(prob, batch, sol)
+    smax, smean = stationarity_residual(prob, batch)
     d4 = float(prob.D4.value_at(0.0)[0, 0])
     assert smean == pytest.approx(abs(d4) * 0.1, rel=1e-6)
 
@@ -204,7 +205,7 @@ def test_stationarity_detects_perturbed_control():
 def test_decoupling_residual_zero_instance():
     prob = make_smoke()
     sol, batch = pipeline(prob, 500, 500, paths=4, seed=10, store=4)
-    dmax, dmean = decoupling_residual(batch, sol, prob)
+    dmax, dmean = decoupling_residual(batch, prob)
     assert dmax == 0.0
 
 
@@ -213,7 +214,7 @@ def test_decoupling_residual_exact_on_degenerate_loop():
     # so the backward reconstruction is exact
     prob = make_indefinite()
     sol, batch = pipeline(prob, 4000, 4000, paths=16, seed=12, store=16)
-    dmax, _ = decoupling_residual(batch, sol, prob)
+    dmax, _ = decoupling_residual(batch, prob)
     assert dmax == 0.0
 
 
@@ -222,7 +223,7 @@ def test_decoupling_residual_halves_with_step():
     means = {}
     for steps in (4000, 8000):
         sol, batch = pipeline(prob, steps, steps, paths=48, seed=12, store=48)
-        _, means[steps] = decoupling_residual(batch, sol, prob)
+        _, means[steps] = decoupling_residual(batch, prob)
     assert means[8000] < 0.8 * means[4000]
 
 

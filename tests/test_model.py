@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_smoke, random_scalar_problem
+from conftest import make_smoke, random_matrix_problem, random_scalar_problem
 from fblq.errors import DomainError
 from fblq.model import (
+    COEFF_NAMES,
     LEVEL_BOUNDED,
     LEVEL_POSITIVE,
     LEVEL_STRICT,
@@ -14,6 +17,7 @@ from fblq.model import (
     eval_coeffs,
     validate,
 )
+from fblq.odes import TimeGrid
 
 
 def test_constant_coefficient_any_time():
@@ -28,6 +32,24 @@ def test_breakpoint_right_continuity_and_terminal():
     assert eval_coeffs(prob, 0.49).A1[0, 0] == 1.0
     assert eval_coeffs(prob, 0.5).A1[0, 0] == 2.0   # right-continuous
     assert eval_coeffs(prob, 1.0).A1[0, 0] == 2.0   # last piece at the horizon
+
+
+@pytest.mark.parametrize("steps", [7, 40])
+def test_on_grid_equals_snapshot_at_every_node(steps):
+    # breakpoints 0.25, 0.5 and 0.75 are nodes of the 40-step grid only
+    base = random_matrix_problem(5, 2, 1, 1)
+    A3, D1 = base.A3.values[0], base.D1.values[0]
+    prob = replace(base,
+                   A3=CoefficientFunction.piecewise([0.0, 0.25, 0.75], [A3, 2.0 * A3, -A3]),
+                   D1=CoefficientFunction.piecewise([0.0, 0.5], [D1, 3.0 * D1]))
+    grid = TimeGrid(1.0, steps)
+    stack = prob.on_grid(grid)
+    for name in COEFF_NAMES:
+        assert getattr(stack, name).shape == (steps + 1, *getattr(prob, name).shape)
+    for j, t in enumerate(grid.nodes):   # t = 0, breakpoints and t = T included
+        snap = prob.snapshot(float(t))
+        for name in COEFF_NAMES:
+            assert np.array_equal(getattr(stack, name)[j], getattr(snap, name)), (j, name)
 
 
 def test_eval_outside_horizon_raises():

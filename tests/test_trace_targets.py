@@ -69,3 +69,22 @@ def test_traced_limit_solve_binds_arguments_and_yields_every_metric(tmp_path):
     assert wanted <= set(metrics)
     assert metrics["decouple.sweep_solves"] >= 1
     assert metrics["odes.rk4_steps"] > 0
+
+
+def test_traced_simulate_binds_arguments(tmp_path):
+    tracing = perfbench_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_id = 0
+        code = cli.main(["simulate", str(ROOT / "problems" / "fully_coupled_example.yaml"),
+                         "--grid", "10", "--steps", "20", "--paths", "8",
+                         "--output-dir", str(tmp_path)])
+        tracer.run_id = None
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    attrs = {s[0]: s[5] for s in tracer.spans}
+    assert attrs["mc.simulate_closed_loop"] == {"path_steps": 8 * 20}
+    assert attrs["feedback.gain_table"] == {"nodes": 21}
+    assert "feedback.closed_loop" in attrs and "mc.stationarity" in attrs
