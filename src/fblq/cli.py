@@ -115,6 +115,8 @@ def _outdir(args) -> Path:
 
 
 def _load(args):
+    if args.grid < 1:
+        raise DomainError(f"--grid must be a positive integer, got {args.grid}")
     problem = load_problem(args.problem)
     grid = TimeGrid(problem.T, args.grid)
     if not grid.aligns_with(problem.merged_breakpoints):
@@ -253,6 +255,8 @@ def cmd_simulate(args) -> int:
          "seed": args.seed, "store_paths": args.store_paths},
         args.problem, _sha256(Path(args.problem)), args.grid)
     t0 = time.perf_counter()
+    cfg = SimConfig(steps=args.steps, paths=args.paths, base_seed=args.seed,
+                    store_paths=args.store_paths)
     problem, grid = _load(args)
     report = validate(problem, LEVEL_BOUNDED)
     if not report.passed:
@@ -265,8 +269,6 @@ def cmd_simulate(args) -> int:
     table = evaluate_gain_table(problem, sol, sim_grid)
     law = synthesize(problem, sol, table=table, xy_form=False)
     sys_cl = closed_loop_coefficients(problem, sol, table=table)
-    cfg = SimConfig(steps=steps, paths=args.paths, base_seed=args.seed,
-                    store_paths=args.store_paths)
     batch = simulate_closed_loop(problem, sys_cl, cfg)
     aug = build_augmented(problem)
     cost = cost_identity_check(problem, aug, sol, batch)
@@ -366,27 +368,17 @@ def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
 
 
 def _suite_monotone(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64)) -> list[SuiteCheck]:
-    checks = []
     solve = direct_solver(problem, schedule, grid)
-    sols = [(i, solve(i)) for i in schedule]
-    worst_p3 = worst_p1 = worst_p3_psd = worst_p1_psd = np.inf
-    for (ia, sa), (ib, sb) in zip(sols, sols[1:]):
-        d3 = sa.P3.values - sb.P3.values
-        d1 = sb.P1.values - sa.P1.values
-        worst_p3 = min(worst_p3, min(min_eig_sym(v) for v in d3))
-        worst_p1 = min(worst_p1, min(min_eig_sym(v) for v in d1))
-    for i, s in sols:
-        worst_p3_psd = min(worst_p3_psd, min(min_eig_sym(v) for v in s.P3.values))
-        worst_p1_psd = min(worst_p1_psd, min(min_eig_sym(v) for v in s.P1.values))
-    checks.append(SuiteCheck("monotone", "min eig P3_i - P3_next", worst_p3, -1e-7,
-                             worst_p3 >= -1e-7, op=">="))
-    checks.append(SuiteCheck("monotone", "min eig P1_next - P1_i", worst_p1, -1e-7,
-                             worst_p1 >= -1e-7, op=">="))
-    checks.append(SuiteCheck("monotone", "min eig P3_i", worst_p3_psd, -1e-7,
-                             worst_p3_psd >= -1e-7, op=">="))
-    checks.append(SuiteCheck("monotone", "min eig P1_i", worst_p1_psd, -1e-7,
-                             worst_p1_psd >= -1e-7, op=">="))
-    return checks
+    P1 = np.stack([solve(i).P1.values for i in schedule])   # (iterate, node, n, n)
+    P3 = np.stack([solve(i).P3.values for i in schedule])
+
+    def worst(blocks):   # smallest eigenvalue over every iterate and node
+        return float(min_eig_sym(blocks.reshape(-1, *blocks.shape[2:])).min())
+    margins = (("min eig P3_i - P3_next", worst(P3[:-1] - P3[1:])),
+               ("min eig P1_next - P1_i", worst(P1[1:] - P1[:-1])),
+               ("min eig P3_i", worst(P3)), ("min eig P1_i", worst(P1)))
+    return [SuiteCheck("monotone", name, value, -1e-7, value >= -1e-7, op=">=")
+            for name, value in margins]
 
 
 def _suite_rate(problem, grid) -> list[SuiteCheck]:

@@ -26,7 +26,6 @@ every offset equation is an ODE.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -39,7 +38,7 @@ from .errors import (
     PreconditionError,
     SingularCoefficientError,
 )
-from .linalg import gated_inverse, min_eig_sym, sym
+from .linalg import frozen, gated_inverse, min_eig_sym, node_inverse, sym
 from .model import COEFF_NAMES, LEVEL_STRICT, CoeffSnapshot, FBLQProblem, eval_coeffs, validate
 from .riccati import (
     RiccatiSolution,
@@ -313,18 +312,16 @@ def _scalar_rhs(c, p1, p2, p3, f1, f2, t):
     return dp1, dp2, dp3, df1, df2
 
 
-def _scalar_coeff_lookup(problem: FBLQProblem):
-    pieces = problem.merged_breakpoints
-    table = [tuple(float(getattr(problem.snapshot(t), nm)[0, 0]) for nm in COEFF_NAMES)
-             for t in pieces]
-    if len(table) == 1:
-        const = table[0]
-        return lambda t: const
-    bps = [float(b) for b in pieces]
+def _scalar_coeffs(s: CoeffSnapshot) -> tuple[float, ...]:
+    return tuple(float(getattr(s, nm)[0, 0]) for nm in COEFF_NAMES)
 
-    def lookup(t):
-        return table[max(bisect.bisect_right(bps, t) - 1, 0)]
-    return lookup
+
+def _scalar_coeff_lookup(problem: FBLQProblem):
+    """t -> the sixteen coefficients as floats; a single piece skips the lookup."""
+    if len(problem.merged_breakpoints) == 1:
+        const = problem.derived(_scalar_coeffs, 0.0)
+        return lambda t: const
+    return lambda t: problem.derived(_scalar_coeffs, t)
 
 
 def _integrate_direct_scalar(problem: FBLQProblem, terminal_index,
@@ -522,33 +519,25 @@ def transform_from_riccati(sol: RiccatiSolution,
     n, m = sol.n, sol.m
     grid = sol.Ptilde.grid
     steps = grid.steps
-    P1v = np.empty((steps + 1, n, n))
-    P2v = np.empty((steps + 1, m, n))
-    P3v = np.empty((steps + 1, m, m))
-    phi1v = np.zeros((steps + 1, n))
-    phi2v = np.zeros((steps + 1, m))
     if offset_tilde is not None and offset_tilde.values.shape[0] != steps + 1:
         raise DomainError("offset path must share the Riccati grid")
-    for j, t in enumerate(grid.nodes):
-        Pt = sol.Ptilde.at_node(j)
-        Pt1, Pt2, Pt3 = Pt[:n, :n], Pt[n:, :n], Pt[n:, n:]
-        try:
-            Pt3_inv, _ = gated_inverse(Pt3, "P3_tilde")
-        except SingularCoefficientError as err:
-            raise err.at_time(float(t)) from None
-        P1v[j] = sym(Pt1 - Pt2.T @ Pt3_inv @ Pt2)
-        P2v[j] = -Pt3_inv @ Pt2
-        P3v[j] = sym(Pt3_inv)
-        if offset_tilde is not None:
-            phit = offset_tilde.at_node(j)[:, 0]
-            phi1v[j] = -P1v[j] @ phit[:n]
-            phi2v[j] = phit[n:] - P2v[j] @ phit[:n]
+    Pt = sol.Ptilde.values
+    Pt1, Pt2, Pt3 = Pt[:, :n, :n], Pt[:, n:, :n], Pt[:, n:, n:]
+    Pt3_inv, _ = node_inverse(Pt3, "P3_tilde", grid.nodes)
+    P1v = sym(Pt1 - Pt2.mT @ Pt3_inv @ Pt2)
+    P2v = -Pt3_inv @ Pt2
+    if offset_tilde is None:
+        phi1v, phi2v = np.zeros((steps + 1, n, 1)), np.zeros((steps + 1, m, 1))
+    else:
+        phit = offset_tilde.values
+        phi1v = -P1v @ phit[:, :n]
+        phi2v = phit[:, n:] - P2v @ phit[:, :n]
     return DecoupledSolution(
         P1=MatrixPath(grid, P1v, "symmetric"),
         P2=MatrixPath(grid, P2v),
-        P3=MatrixPath(grid, P3v, "symmetric"),
-        phi1=MatrixPath(grid, phi1v[:, :, np.newaxis]),
-        phi2=MatrixPath(grid, phi2v[:, :, np.newaxis]),
+        P3=MatrixPath(grid, sym(Pt3_inv), "symmetric"),
+        phi1=MatrixPath(grid, phi1v),
+        phi2=MatrixPath(grid, phi2v),
         v1=constant_path(grid, np.zeros((n, 1))),
         v2=constant_path(grid, np.zeros((m, 1))),
         source=SolutionSource("transformed", sol.i),
@@ -621,13 +610,11 @@ def gain_condition_trace(problem: FBLQProblem, sol: DecoupledSolution,
     """
     idx = np.unique(np.linspace(0, sol.grid.steps, samples).astype(int))
     times = sol.grid.nodes[idx]
-    coeffs = problem.on_grid(sol.grid)
-    s = CoeffSnapshot(**{c: getattr(coeffs, c)[idx] for c in COEFF_NAMES})
     try:
-        g = _gains(s, sol.P1.values[idx], sol.P2.values[idx], sol.P3.values[idx],
-                   n=problem.n, m=problem.m)
+        g = _gains(problem.snapshot(times), sol.P1.values[idx], sol.P2.values[idx],
+                   sol.P3.values[idx], n=problem.n, m=problem.m)
     except SingularCoefficientError as err:
-        raise err.at_time(float(times[err.member])) from None
+        raise err.at_node(times) from None
     return np.column_stack([times, g.cond_L1, g.cond_L2, g.cond_L5])
 
 
@@ -709,7 +696,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
         iterates.append((i, cur))
         p2_bound = max(p2_bound, float(np.max(np.abs(cur.P2.values))))
         p1_bound = max(p1_bound, float(np.max(np.abs(cur.P1.values))))
-        p3_min = min(p3_min, min(min_eig_sym(v) for v in cur.P3.values))
+        p3_min = min(p3_min, float(min_eig_sym(cur.P3.values).min()))
         conds = gain_condition_trace(problem, cur, 33)[:, 1:]
         cond_bound = max(cond_bound, float(conds.max()))
         if measure_rate:
@@ -756,13 +743,18 @@ class HamiltonianBlocks:
     C3: np.ndarray
 
 
-def hamiltonian_blocks(problem: FBLQProblem, t: float) -> HamiltonianBlocks:
-    s = problem.snapshot(t)
-    n, m = problem.n, problem.m
+def hamiltonian_blocks(problem: FBLQProblem, t) -> HamiltonianBlocks:
+    """The blocks at ``t`` (stacked over an array of times), assembled once
+    per coefficient piece when first asked for; a singular D4 raises then."""
+    return problem.derived(_hamiltonian, t)
+
+
+def _hamiltonian(s: CoeffSnapshot) -> HamiltonianBlocks:
+    n, m = s.A1.shape[0], s.B3.shape[0]
     D4_inv, _ = gated_inverse(s.D4, "D4")
     zmn = np.zeros((m, n))
     znm = np.zeros((n, m))
-    return HamiltonianBlocks(
+    blocks = dict(   # read-only: one object serves every time in the piece
         A1=np.block([[s.A1, -s.D1 @ D4_inv @ s.D3.T], [zmn, s.B3.T]]),
         B1=np.block([[-s.D1 @ D4_inv @ s.D1.T, s.B1], [s.B1.T, s.B4]]),
         C1=np.block([[-s.D1 @ D4_inv @ s.D2.T, s.C1], [s.B2.T, np.zeros((m, m))]]),
@@ -773,6 +765,7 @@ def hamiltonian_blocks(problem: FBLQProblem, t: float) -> HamiltonianBlocks:
         B3=np.block([[s.A1.T, znm], [-s.D3 @ D4_inv @ s.D1.T, s.B3]]),
         C3=np.block([[s.A2.T, znm], [-s.D3 @ D4_inv @ s.D2.T, s.C3]]),
     )
+    return HamiltonianBlocks(**{name: frozen(block) for name, block in blocks.items()})
 
 
 @dataclass(frozen=True)
@@ -835,18 +828,18 @@ def solve_q_equation(problem: FBLQProblem, grid: TimeGrid) -> QSolution:
     n, m = problem.n, problem.m
     d = n + m
 
-    def kji(t, Q):
-        hb = hamiltonian_blocks(problem, t)
+    def kji(hb, Q):
+        """K, J and I = (I - Q C2)^-1, for one stage or for a node stack."""
         M_inv, _ = gated_inverse(np.eye(d) - Q @ hb.C2, "I - Q*C2_blocks")
-        K = M_inv @ (Q @ hb.A2 + Q @ hb.B2 @ Q)
-        return hb, M_inv, K
+        return M_inv @ (Q @ hb.A2 + Q @ hb.B2 @ Q), M_inv @ (Q @ hb.B2), M_inv
 
     def rhs(t, blocks):
         Q, phi = blocks["Q"], blocks["phi"]
-        hb, M_inv, K = kji(t, Q)
+        hb = hamiltonian_blocks(problem, t)
+        K, J, _ = kji(hb, Q)
         dQ = -(Q @ hb.A1 + Q @ hb.B1 @ Q + Q @ hb.C1 @ K + hb.A3
                + hb.B3 @ Q + hb.C3 @ K)
-        drift = Q @ hb.B1 + hb.B3 + (Q @ hb.C1 + hb.C3) @ (M_inv @ (Q @ hb.B2))
+        drift = Q @ hb.B1 + hb.B3 + (Q @ hb.C1 + hb.C3) @ J
         return {"Q": dQ, "phi": -(drift @ phi)}
 
     F_tilde = np.block([[problem.G, problem.F.T], [problem.F, np.zeros((m, m))]])
@@ -856,19 +849,13 @@ def solve_q_equation(problem: FBLQProblem, grid: TimeGrid) -> QSolution:
         terminal={"Q": F_tilde, "phi": np.concatenate([np.zeros(n), problem.xi])},
     )
     paths = integrate_terminal(system, grid)
-    Qp = paths["Q"]
-    Kv = np.empty((grid.steps + 1, d, d))
-    Jv = np.empty((grid.steps + 1, d, d))
-    Iv = np.empty((grid.steps + 1, d, d))
-    for j, t in enumerate(grid.nodes):
-        hb, M_inv, K = kji(t, Qp.at_node(j))
-        Kv[j] = K
-        Jv[j] = M_inv @ (Qp.at_node(j) @ hb.B2)
-        Iv[j] = M_inv
+    try:
+        K, J, Iblk = kji(hamiltonian_blocks(problem, grid.nodes), paths["Q"].values)
+    except SingularCoefficientError as err:
+        raise err.at_node(grid.nodes) from None
     return QSolution(
-        n=n, m=m, Q=Qp,
-        K=MatrixPath(grid, Kv), J=MatrixPath(grid, Jv), Iblk=MatrixPath(grid, Iv),
-        phi=paths["phi"],
+        n=n, m=m, Q=paths["Q"], K=MatrixPath(grid, K), J=MatrixPath(grid, J),
+        Iblk=MatrixPath(grid, Iblk), phi=paths["phi"],
     )
 
 
@@ -1052,7 +1039,8 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     beta6 = g.L2_inv @ (P1 @ s.B2 + W @ g.L1_inv @ P2 @ s.B2)
     add("offset-gain/S2-beta", g.L2_inv @ g.S2, beta5 @ phi1 + beta6 @ phi2)
 
-    m5_direct = m5_from_terms(aug.snapshot(t_node), Pt, phit, M1_inv, mc.M2, mc.M3)
+    m5_direct = m5_from_terms(aug.snapshot(t_node), Pt, phit[:, np.newaxis], M1_inv,
+                              mc.M2, mc.M3)
     dP1, _, dP3 = _p_rhs(s, P1, P2, P3, g)
     gamma1, gamma2 = (-x for x in _phi_rhs(s, P1, P2, P3, phi1, phi2, g))
     u_off = g.S3 + g.L7 @ (P3_inv @ phi2)

@@ -50,6 +50,10 @@ class SingularCoefficientError(FBLQError):
     def at_time(self, time: float) -> "SingularCoefficientError":
         return SingularCoefficientError(self.name, time, self.cond, self.member)
 
+    def at_node(self, times) -> "SingularCoefficientError":
+        """A failure in a node stack, placed at the time of the failing node."""
+        return SingularCoefficientError(self.name, float(times[self.member]), self.cond)
+
 
 class ConstraintViolatedError(FBLQError):
     """A running positivity side condition failed during integration."""

@@ -15,7 +15,7 @@ import numpy as np
 
 from .decouple import DecoupledSolution, _gains
 from .errors import DomainError, PreconditionError, SingularCoefficientError
-from .linalg import COND_GATE, gated_inverse
+from .linalg import gated_inverse, node_inverse
 from .model import FBLQProblem
 from .odes import TimeGrid
 
@@ -57,7 +57,7 @@ def evaluate_gain_table(problem: FBLQProblem, sol: DecoupledSolution,
     try:
         g = _gains(problem.on_grid(grid), P1, P2, P3, phi1, phi2, n=problem.n, m=problem.m)
     except SingularCoefficientError as err:
-        raise err.at_time(float(grid.nodes[err.member])) from None
+        raise err.at_node(grid.nodes) from None
     return GainTable(grid=grid, P1=P1, P2=P2, P3=P3, phi1=phi1[..., 0], phi2=phi2[..., 0],
                      L6=g.L6, L7=g.L7, L8=g.L8, L9=g.L9, L10=g.L10, L11=g.L11,
                      S3=g.S3[..., 0], S4=g.S4[..., 0], S5=g.S5[..., 0])
@@ -103,10 +103,7 @@ def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
     if not xy_form:
         guard_node = -1
     xy = slice(0, guard_node + 1)
-    try:
-        P3_inv, _ = gated_inverse(table.P3[xy], "P3", COND_GATE)
-    except SingularCoefficientError as err:
-        raise err.at_time(float(grid.nodes[err.member])) from None
+    P3_inv, _ = node_inverse(table.P3[xy], "P3", grid.nodes)
     L7P3 = table.L7[xy] @ P3_inv
     return FeedbackLaw(
         grid=grid,

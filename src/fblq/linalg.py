@@ -29,13 +29,22 @@ def asymmetry(mat: np.ndarray) -> float:
     return max_abs(mat - mat.T)
 
 
-def min_eig_sym(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a (symmetrized) matrix.
+def min_eig_sym(mat: np.ndarray):
+    """Smallest eigenvalue of a (symmetrized) matrix, or a (B,) array of them
+    for a (B, d, d) stack.
 
     Dimensions one and two take closed forms, as in gated_inverse: side
-    conditions call this at every integration stage.
+    conditions call this at every integration stage. A stack's d = 2 form
+    uses np.hypot, which may differ from math.hypot in the last bit.
     """
-    d = mat.shape[0]
+    d = mat.shape[-1]
+    if mat.ndim == 3:
+        if d == 1:
+            return mat[:, 0, 0].copy()
+        if d == 2:
+            a, c = mat[:, 0, 0], mat[:, 1, 1]
+            return 0.5 * (a + c) - np.hypot(0.5 * (a - c), 0.5 * (mat[:, 0, 1] + mat[:, 1, 0]))
+        return np.linalg.eigvalsh(sym(mat))[:, 0]
     if d == 1:
         return float(mat[0, 0])
     if d == 2:
@@ -125,6 +134,15 @@ def _raise_first(name: str, bad: np.ndarray, cond):
         k = int(np.argmax(bad))
         raise SingularCoefficientError(
             name, cond=float(np.broadcast_to(cond, bad.shape)[k]), member=k)
+
+
+def node_inverse(mat: np.ndarray, name: str, times: np.ndarray):
+    """gated_inverse on a node stack, reporting a failure at the time of its
+    first failing node (``times`` holds one time per member)."""
+    try:
+        return gated_inverse(mat, name)
+    except SingularCoefficientError as err:
+        raise err.at_node(times) from None
 
 
 def as_matrix(value, shape: tuple[int, int]) -> np.ndarray:

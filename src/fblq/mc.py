@@ -25,10 +25,10 @@ import numpy as np
 from .decouple import DecoupledSolution
 from .errors import DivergedError, DomainError, PreconditionError
 from .feedback import ClosedLoopSystem, initial_h
-from .linalg import gated_inverse
+from .linalg import gated_inverse, node_inverse
 from .model import COEFF_NAMES, FBLQProblem
 from .odes import MatrixPath, TimeGrid
-from .riccati import AugmentedLQ, RiccatiSolution, m5_deterministic, m_coefficients
+from .riccati import AugmentedLQ, RiccatiSolution, m5_from_terms, m_coefficients
 from .rng import increment_block
 
 DEFAULT_CHUNK = 8192
@@ -50,8 +50,8 @@ class SimConfig:
     chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self):
-        if self.steps < 1 or self.paths < 1 or self.chunk < 1:
-            raise DomainError("steps, paths and chunk must be positive")
+        if self.steps < 1 or self.paths < 1 or self.chunk < 1 or self.store_paths < 0:
+            raise DomainError("steps, paths and chunk must be positive, store_paths non-negative")
         object.__setattr__(self, "store_paths", min(self.store_paths, self.paths))
 
 
@@ -223,14 +223,21 @@ def _offsets_vanish(sol: DecoupledSolution, tol: float = 1e-14) -> bool:
             and float(np.max(np.abs(sol.phi2.values))) <= tol)
 
 
-def _stacked_from_blocks(P1, P2, P3, phi1, phi2):
-    """(Ptilde, phitilde) of the augmented problem from decoupling blocks."""
-    P3_inv, _ = gated_inverse(P3, "P3")
-    P1_inv, _ = gated_inverse(P1, "P1")
-    top = P1 + P2.T @ P3_inv @ P2
-    Pt = np.block([[top, -P2.T @ P3_inv], [-P3_inv @ P2, P3_inv]])
+def _m5_on_nodes(aug: AugmentedLQ, sol: DecoupledSolution, grid: TimeGrid,
+                 last: int) -> np.ndarray:
+    """M5 at nodes 0..last of ``grid`` as one node stack: the interpolated
+    blocks are mapped to the augmented (Ptilde, phitilde)."""
+    times = grid.nodes[:last + 1]
+    P1, P2, P3, phi1, phi2 = (path.on_grid(grid)[:last + 1] for path in
+                              (sol.P1, sol.P2, sol.P3, sol.phi1, sol.phi2))
+    P3_inv, _ = node_inverse(P3, "P3", times)
+    P1_inv, _ = node_inverse(P1, "P1", times)
+    Pt = np.block([[P1 + P2.mT @ P3_inv @ P2, -P2.mT @ P3_inv], [-P3_inv @ P2, P3_inv]])
     w = P1_inv @ phi1
-    return Pt, np.concatenate([-w, phi2 - P2 @ w])
+    phit = np.concatenate([-w, phi2 - P2 @ w], axis=1)
+    mc = m_coefficients(aug, Pt, times)
+    M1_inv, _ = node_inverse(mc.M1, "M1", times)
+    return m5_from_terms(aug.snapshot(times), Pt, phit, M1_inv, mc.M2, mc.M3)
 
 
 def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
@@ -264,12 +271,7 @@ def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
     if _offsets_vanish(sol) or last < 1:
         m5_vals = np.zeros(max(last + 1, 1))
     else:
-        m5_vals = np.empty(last + 1)
-        for j in range(last + 1):
-            t = float(grid.nodes[j])
-            P1, P2, P3, phi1, phi2 = sol.value(t)
-            Pt, phit = _stacked_from_blocks(P1, P2, P3, phi1, phi2)
-            m5_vals[j] = m5_deterministic(aug, t, Pt, phit)
+        m5_vals = _m5_on_nodes(aug, sol, grid, last)
     m5_integral = float(np.trapezoid(m5_vals, dx=grid.dt))
     truncation = float(abs(m5_vals[-1])) * (grid.T - float(grid.nodes[last]))
     analytic = 0.5 * r2 + 0.5 * m5_integral
@@ -389,21 +391,12 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
         eps, delta = _perturbation(control, cfg.steps, cdim)
         pert[c] = eps * delta
 
-    gains = np.empty((cfg.steps + 1, cdim, d))
-    offs = np.empty((cfg.steps + 1, cdim))
-    A = np.empty((cfg.steps + 1, d, d))
-    B = np.empty((cfg.steps + 1, d, cdim))
-    C = np.empty((cfg.steps + 1, d, d))
-    D = np.empty((cfg.steps + 1, d, cdim))
-    Q = np.empty((cfg.steps + 1, d, d))
-    R = np.empty((cfg.steps + 1, cdim, cdim))
-    for j, t in enumerate(grid.nodes):
-        s = aug.snapshot(float(t))
-        mc = m_coefficients(aug, Pt[j], float(t))
-        M1_inv, _ = gated_inverse(mc.M1, "M1")
-        gains[j] = -M1_inv @ mc.M2
-        offs[j] = M1_inv @ (mc.M3 @ phit[j])
-        A[j], B[j], C[j], D[j], Q[j], R[j] = s.A, s.B, s.C, s.D, s.Q, s.R
+    mc = m_coefficients(aug, Pt, grid.nodes)
+    M1_inv, _ = node_inverse(mc.M1, "M1", grid.nodes)
+    gains = -M1_inv @ mc.M2
+    offs = (M1_inv @ (mc.M3 @ phit[..., np.newaxis]))[..., 0]
+    s = aug.on_grid(grid)
+    A, B, C, D, Q, R = s.A, s.B, s.C, s.D, s.Q, s.R
 
     P3_0, _ = gated_inverse(Pt[0][n:, n:], "P3_tilde")
     P2_0 = -P3_0 @ Pt[0][n:, :n]
@@ -462,8 +455,6 @@ def penalized_gap_prediction(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     grid = TimeGrid(problem.T, cfg.steps)
     Pt = riccati_i.Ptilde.on_grid(grid)
     _, delta_arr = _perturbation(("perturbed", eps, delta), cfg.steps, aug.control_dim)
-    vals = np.empty(cfg.steps + 1)
-    for j, t in enumerate(grid.nodes):
-        M1 = m_coefficients(aug, Pt[j], float(t)).M1
-        vals[j] = delta_arr[j] @ M1 @ delta_arr[j]
+    M1 = m_coefficients(aug, Pt, grid.nodes).M1
+    vals = (delta_arr[:, np.newaxis] @ M1 @ delta_arr[..., np.newaxis])[:, 0, 0]
     return 0.5 * eps * eps * float(np.trapezoid(vals, dx=grid.dt))

@@ -15,12 +15,12 @@ ingestion so asymmetry cannot drift into the ODE integration.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SingularCoefficientError
 from .linalg import as_matrix, as_vector, asymmetry, frozen, max_abs, min_eig_sym
 
 SYMMETRY_TOL = 1e-9
@@ -49,6 +49,18 @@ def coefficient_shapes(n: int, m: int, k: int) -> dict[str, tuple[int, int]]:
         "C1": (n, m), "C2": (n, m), "C3": (m, m), "C4": (m, m),
         "D1": (n, k), "D2": (n, k), "D3": (m, k), "D4": (k, k),
     }
+
+
+def active_piece(breakpoints: np.ndarray, t):
+    """Index of the piece active at ``t``, or an index array for an array of
+    times: piece j covers [breakpoints[j], breakpoints[j+1]), so lookups are
+    right-continuous, and the last piece runs through the horizon.
+
+    This is the one piece rule; every coefficient lookup goes through it.
+    """
+    if isinstance(t, np.ndarray):
+        return np.maximum(np.searchsorted(breakpoints, t, side="right") - 1, 0)
+    return max(bisect.bisect_right(breakpoints, t) - 1, 0)
 
 
 @dataclass(frozen=True)
@@ -95,12 +107,8 @@ class CoefficientFunction:
     def shape(self) -> tuple[int, int]:
         return self.values.shape[1:]
 
-    def piece_index(self, t: float) -> int:
-        """Index of the piece active at ``t`` (right-continuous)."""
-        return max(bisect.bisect_right(self.breakpoints, t) - 1, 0)
-
     def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.piece_index(t)]
+        return self.values[active_piece(self.breakpoints, t)]
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return max_abs(self.values) <= tol
@@ -243,26 +251,58 @@ class FBLQProblem:
 
     @cached_property
     def _piece_snapshots(self) -> tuple[CoeffSnapshot, ...]:
-        snaps = []
-        for t in self.merged_breakpoints:
-            snaps.append(CoeffSnapshot(**{c: getattr(self, c).value_at(t) for c in COEFF_NAMES}))
-        return tuple(snaps)
+        return tuple(CoeffSnapshot(**{c: getattr(self, c).value_at(t) for c in COEFF_NAMES})
+                     for t in self.merged_breakpoints)
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, build, t):
+        """``build(snapshot)`` for the piece active at ``t``, built on first use.
+
+        For an array of times ``build`` must return a dataclass of matrices;
+        the result stacks each field with one entry per time. The pieces are
+        built in time order, and a SingularCoefficientError is reported at
+        the first time in the failing piece.
+        """
+        idx = active_piece(self.merged_breakpoints, t)
+        if not isinstance(t, np.ndarray):
+            return self._built(build, idx)
+        used, where = np.unique(idx, return_inverse=True)
+        built = []
+        for p in used.tolist():
+            try:
+                built.append(self._built(build, p))
+            except SingularCoefficientError as err:
+                raise err.at_time(float(t[np.argmax(idx == p)])) from None
+        return type(built[0])(**{f.name: np.stack([getattr(b, f.name) for b in built])[where]
+                                 for f in fields(built[0])})
+
+    def _built(self, build, p: int):
+        try:
+            return self._derived[build, p]
+        except KeyError:
+            out = self._derived[build, p] = build(self._piece_snapshots[p])
+            return out
 
     def snapshot(self, t: float) -> CoeffSnapshot:
-        """Coefficient snapshot at ``t`` without the domain check (internal)."""
-        idx = max(bisect.bisect_right(self.merged_breakpoints, t) - 1, 0)
-        return self._piece_snapshots[idx]
+        """Coefficients at ``t`` without the domain check (internal); an array
+        of times gives one matrix per time in every field."""
+        return self.derived(_coefficients, t)
 
     def on_grid(self, grid) -> CoeffSnapshot:
         """Snapshot whose fields stack one matrix per node of ``grid``.
 
         Each field has shape (steps+1, r, c); node j holds
-        ``snapshot(grid.nodes[j])`` (the same right-continuous piece rule).
+        ``snapshot(grid.nodes[j])``.
         """
-        idx = np.maximum(
-            np.searchsorted(self.merged_breakpoints, grid.nodes, side="right") - 1, 0)
-        return CoeffSnapshot(**{c: np.stack([getattr(s, c) for s in self._piece_snapshots])[idx]
-                                for c in COEFF_NAMES})
+        return self.snapshot(grid.nodes)
+
+
+def _coefficients(s: CoeffSnapshot) -> CoeffSnapshot:
+    return s
+
 
 def eval_coeffs(problem: FBLQProblem, t: float) -> CoeffSnapshot:
     """All sixteen coefficients at time ``t``.

@@ -89,10 +89,11 @@ def problem_from_dict(doc: dict, source: str = "<dict>") -> FBLQProblem:
     dims = doc.get("dimensions")
     if not isinstance(dims, dict) or set(dims) != {"n", "m", "k"}:
         raise ParseError("'dimensions' must map exactly n, m, k", "dimensions")
-    try:
-        n, m, k = int(dims["n"]), int(dims["m"]), int(dims["k"])
-    except (TypeError, ValueError):
-        raise ParseError("dimensions must be integers", "dimensions") from None
+    for name, value in dims.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ParseError(f"dimension {name} must be a positive integer, got {value!r}",
+                             f"dimensions.{name}")
+    n, m, k = int(dims["n"]), int(dims["m"]), int(dims["k"])
     if "horizon" not in doc:
         raise ParseError("missing 'horizon'", source)
     T = _number(doc["horizon"], "horizon")

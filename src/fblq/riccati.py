@@ -10,13 +10,14 @@ Schur-type transform in ``decouple.transform_from_riccati`` maps it onto the
 The Riccati flow carries the running side condition M1 = R + D'PD > 0; the
 solve aborts the first time (going backward) its smallest eigenvalue drops
 below M1_MARGIN.
+
+The augmented blocks are built once per coefficient piece (FBLQProblem.derived);
+the completion-of-squares terms take single matrices or node stacks alike.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +27,12 @@ from .model import FBLQProblem
 from .odes import MatrixPath, OdeSystem, TimeGrid, integrate_terminal
 
 M1_MARGIN = 1e-8
-PTILDE_PD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AugSnapshot:
-    """Block matrices of the augmented LQ problem at one time."""
+    """Block matrices of the augmented LQ problem at one time (or stacked
+    over the nodes of a grid)."""
 
     A: np.ndarray   # (n+m, n+m) drift
     B: np.ndarray   # (n+m, k+m) control-to-drift
@@ -43,21 +44,10 @@ class AugSnapshot:
 
 @dataclass(frozen=True)
 class AugmentedLQ:
-    """Augmented problem data; snapshots are cached per coefficient piece."""
+    """Augmented problem data; its snapshots are built once per coefficient
+    piece of the problem and shared by every AugmentedLQ of that problem."""
 
     problem: FBLQProblem
-
-    @property
-    def n(self) -> int:
-        return self.problem.n
-
-    @property
-    def m(self) -> int:
-        return self.problem.m
-
-    @property
-    def k(self) -> int:
-        return self.problem.k
 
     @property
     def state_dim(self) -> int:
@@ -67,20 +57,17 @@ class AugmentedLQ:
     def control_dim(self) -> int:
         return self.problem.k + self.problem.m
 
-    @cached_property
-    def _pieces(self) -> tuple[AugSnapshot, ...]:
-        return tuple(
-            _assemble(self.problem, t) for t in self.problem.merged_breakpoints
-        )
+    def snapshot(self, t) -> AugSnapshot:
+        """Blocks at ``t``; an array of times stacks one matrix per time."""
+        return self.problem.derived(_assemble, t)
 
-    def snapshot(self, t: float) -> AugSnapshot:
-        bp = self.problem.merged_breakpoints
-        return self._pieces[max(bisect.bisect_right(bp, t) - 1, 0)]
+    def on_grid(self, grid: TimeGrid) -> AugSnapshot:
+        """Blocks stacked over the nodes of ``grid``: (steps+1, r, c) each."""
+        return self.snapshot(grid.nodes)
 
 
-def _assemble(problem: FBLQProblem, t: float) -> AugSnapshot:
-    s = problem.snapshot(t)
-    n, m, k = problem.n, problem.m, problem.k
+def _assemble(s) -> AugSnapshot:
+    n, m, k = s.A1.shape[0], s.B3.shape[0], s.D4.shape[0]
     A = np.block([[s.A1, s.B1], [-s.A3, -s.B3]])
     B = np.block([[s.D1, s.C1], [-s.D3, -s.C3]])
     C = np.block([[s.A2, s.B2], [np.zeros((m, n)), np.zeros((m, m))]])
@@ -106,19 +93,21 @@ class MCoefficients:
 
 
 def _m_terms(s: AugSnapshot, P: np.ndarray):
-    """(M1, M2, M3, M4) of the completed square at one snapshot, as plain arrays.
+    """(M1, M2, M3, M4) of the completed square, as plain arrays.
 
     Every completion-of-squares quantity (the Riccati derivative, the offset
     drift, the cost term M5 and the feedback) starts from these; the hot
-    right-hand sides take them without the MCoefficients wrapper.
+    right-hand sides take them without the MCoefficients wrapper. A node
+    stack of snapshots with a stack of P gives stacks.
     """
-    DtP = s.D.T @ P
-    M3 = s.B.T @ P
+    DtP = s.D.mT @ P
+    M3 = s.B.mT @ P
     return sym(s.R + DtP @ s.D), M3 + DtP @ s.C, M3, DtP
 
 
-def m_coefficients(aug: AugmentedLQ, Ptilde_at_t: np.ndarray, t: float) -> MCoefficients:
-    """M1 = R + D'PD (symmetrized), M2 = B'P + D'PC, M3 = B'P, M4 = D'P."""
+def m_coefficients(aug: AugmentedLQ, Ptilde_at_t: np.ndarray, t) -> MCoefficients:
+    """M1 = R + D'PD (symmetrized), M2 = B'P + D'PC, M3 = B'P, M4 = D'P; with
+    an array of times ``t`` and one P per time, every field is a node stack."""
     return MCoefficients(*_m_terms(aug.snapshot(t), np.asarray(Ptilde_at_t, dtype=float)))
 
 
@@ -131,7 +120,7 @@ def penalized_terminal(problem: FBLQProblem, i: int) -> np.ndarray:
 
 def _pdot(s: AugSnapshot, P: np.ndarray, M1_inv: np.ndarray, M2: np.ndarray) -> np.ndarray:
     """Riccati derivative -(PA + A'P + C'PC + Q - M2' M1^-1 M2)."""
-    return -(P @ s.A + s.A.T @ P + s.C.T @ P @ s.C + s.Q - M2.T @ M1_inv @ M2)
+    return -(P @ s.A + s.A.mT @ P + s.C.mT @ P @ s.C + s.Q - M2.mT @ M1_inv @ M2)
 
 
 def _riccati_stage(aug: AugmentedLQ, t: float, P: np.ndarray):
@@ -155,14 +144,12 @@ class RiccatiSolution:
 
     ``Ptilde`` is the symmetric (n+m) x (n+m) path; its blocks are exposed by
     block_paths(). ``m1_min_eig`` records the smallest eigenvalue of the
-    effective control weight M1 along the grid; ``positive_definite`` states
-    whether the path stayed uniformly positive definite.
+    effective control weight M1 along the grid.
     """
 
     i: int
     Ptilde: MatrixPath
     m1_min_eig: np.ndarray
-    positive_definite: bool
     n: int
     m: int
 
@@ -197,17 +184,11 @@ def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
         symmetric=frozenset({"P"}),
     )
     path = integrate_terminal(system, grid)["P"]
-    m1_eigs = np.empty(grid.steps + 1)
-    p_eigs = np.empty(grid.steps + 1)
-    for j, t in enumerate(grid.nodes):
-        mc = m_coefficients(aug, path.at_node(j), t)
-        m1_eigs[j] = min_eig_sym(mc.M1)
-        p_eigs[j] = min_eig_sym(path.at_node(j))
+    M1 = _m_terms(aug.on_grid(grid), path.values)[0]
     return RiccatiSolution(
         i=i,
         Ptilde=path,
-        m1_min_eig=frozen(m1_eigs),
-        positive_definite=bool(np.all(p_eigs >= PTILDE_PD_TOL)),
+        m1_min_eig=frozen(min_eig_sym(M1)),
         n=problem.n,
         m=problem.m,
     )
@@ -222,7 +203,7 @@ def _offset_drift(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.nda
     with Pdot taken from the Riccati right-hand side (never from differencing
     a stored path, which would cost two orders of accuracy).
     """
-    return M2.T @ (M1_inv @ (M3 @ phi)) - s.A.T @ (P @ phi) - Pdot @ phi
+    return M2.mT @ (M1_inv @ (M3 @ phi)) - s.A.mT @ (P @ phi) - Pdot @ phi
 
 
 def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
@@ -234,11 +215,11 @@ def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
     exact terminal so the offset drift sees stage-accurate values of P and
     its algebraic derivative.
     """
-    d = aug.state_dim
+    d, n, m = aug.state_dim, aug.problem.n, aug.problem.m
     xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (aug.m,):
-        raise DomainError(f"xi must have length {aug.m}")
-    phi_T = np.concatenate([np.zeros(aug.n), xi])
+    if xi.shape != (m,):
+        raise DomainError(f"xi must have length {m}")
+    phi_T = np.concatenate([np.zeros(n), xi])
 
     def rhs(t, blocks):
         P, phi = blocks["P"], blocks["phi"]
@@ -255,22 +236,16 @@ def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
     return integrate_terminal(system, grid)["phi"]
 
 
-def m5_deterministic(aug: AugmentedLQ, t: float, Ptilde_at_t: np.ndarray,
-                     phi_tilde_at_t: np.ndarray) -> float:
-    """Offset-quadratic term of the optimal cost at one time (zero diffusion
-    offset), evaluated with the algebraic substitution for the P derivative."""
-    P = np.asarray(Ptilde_at_t, dtype=float)
-    phi = np.asarray(phi_tilde_at_t, dtype=float).reshape(-1)
-    s = aug.snapshot(t)
-    M1, M2, M3, _ = _m_terms(s, P)
-    M1_inv, _ = gated_inverse(M1, "M1")
-    return m5_from_terms(s, P, phi, M1_inv, M2, M3)
-
-
 def m5_from_terms(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.ndarray,
-                  M2: np.ndarray, M3: np.ndarray) -> float:
-    """M5 from completion terms a caller has already formed (see m5_deterministic)."""
+                  M2: np.ndarray, M3: np.ndarray) -> np.ndarray:
+    """Offset-quadratic term M5 of the optimal cost (zero diffusion offset),
+    from completion terms the caller has already formed.
+
+    The P derivative is the algebraic one of _pdot. ``phi`` is a (..., d, 1)
+    column, one per member of a node stack; the result has shape (...).
+    """
     Pdot = _pdot(s, P, M1_inv, M2)
     m3phi = M3 @ phi
-    return float(2.0 * phi @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)
-                 + phi @ Pdot @ phi - m3phi @ M1_inv @ m3phi)
+    out = (2.0 * phi.mT @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)
+           + phi.mT @ Pdot @ phi - m3phi.mT @ M1_inv @ m3phi)
+    return out[..., 0, 0]

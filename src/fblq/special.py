@@ -12,8 +12,8 @@ import enum
 
 import numpy as np
 
-from .errors import ConstraintViolatedError, PreconditionError, SingularCoefficientError
-from .linalg import gated_inverse, min_eig_sym
+from .errors import ConstraintViolatedError, PreconditionError
+from .linalg import gated_inverse, min_eig_sym, node_inverse
 from .model import FBLQProblem
 from .odes import MatrixPath, OdeSystem, TimeGrid, integrate_terminal
 
@@ -99,14 +99,9 @@ def solve_lq_reference(problem: FBLQProblem, grid: TimeGrid) -> tuple[MatrixPath
         symmetric=frozenset({"P"}),
     )
     P_path = integrate_terminal(system, grid)["P"]
-    gains = np.empty((grid.steps + 1, problem.k, n))
-    for j, t in enumerate(grid.nodes):
-        s = problem.snapshot(float(t))
-        P = P_path.at_node(j)
-        W = s.D4 + s.D2.T @ P @ s.D2
-        W_inv, _ = gated_inverse(W, "D4 + D2'P D2")
-        gains[j] = -W_inv @ (s.D1.T @ P + s.D2.T @ P @ s.A2)
-    return P_path, MatrixPath(grid, gains)
+    s, P = problem.on_grid(grid), P_path.values
+    W_inv, _ = node_inverse(s.D4 + s.D2.mT @ P @ s.D2, "D4 + D2'P D2", grid.nodes)
+    return P_path, MatrixPath(grid, -W_inv @ (s.D1.mT @ P + s.D2.mT @ P @ s.A2))
 
 
 def solve_blq_reference(problem: FBLQProblem,
@@ -144,12 +139,9 @@ def solve_blq_reference(problem: FBLQProblem,
         symmetric=frozenset({"Q4"}),
     )
     paths = integrate_terminal(system, grid)
-    gains = np.empty((grid.steps + 1, problem.k, m))
-    for j, t in enumerate(grid.nodes):
-        s = problem.snapshot(float(t))
-        D4_inv, _ = gated_inverse(s.D4, "D4")
-        gains[j] = -D4_inv @ s.D3.T
-    return paths["Q4"], paths["phi2"], MatrixPath(grid, gains)
+    s = problem.on_grid(grid)
+    D4_inv, _ = node_inverse(s.D4, "D4", grid.nodes)
+    return paths["Q4"], paths["phi2"], MatrixPath(grid, -D4_inv @ s.D3.mT)
 
 
 def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
@@ -161,7 +153,7 @@ def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
     u = gain_X X + gain_Y Y and need P3 invertible, hence the guard.
     """
     _require(problem, ReductionKind.DETERMINISTIC_FBLQ)
-    n, m, k = problem.n, problem.m, problem.k
+    n, m = problem.n, problem.m
 
     def rhs(t, blocks):
         s = problem.snapshot(t)
@@ -185,20 +177,12 @@ def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
     )
     paths = integrate_terminal(system, grid)
     _, guard_node = grid.guard_node(epsilon_guard)
-    gain_X = np.empty((guard_node + 1, k, n))
-    gain_Y = np.empty((guard_node + 1, k, m))
-    for j in range(guard_node + 1):
-        t = float(grid.nodes[j])
-        s = problem.snapshot(t)
-        P1 = paths["P1"].at_node(j)
-        P2 = paths["P2"].at_node(j)
-        P3 = paths["P3"].at_node(j)
-        D4_inv, _ = gated_inverse(s.D4, "D4")
-        try:
-            P3_inv, _ = gated_inverse(P3, "P3")
-        except SingularCoefficientError as err:
-            raise err.at_time(t) from None
-        gain_X[j] = -D4_inv @ (s.D1.T @ (P1 + P2.T @ P3_inv @ P2)
-                               + s.D3.T @ P3_inv @ P2)
-        gain_Y[j] = D4_inv @ (s.D1.T @ P2.T + s.D3.T) @ P3_inv
+    times = grid.nodes[:guard_node + 1]
+    s = problem.on_grid(grid)
+    D1, D3, D4 = (getattr(s, c)[:guard_node + 1] for c in ("D1", "D3", "D4"))
+    P1, P2, P3 = (paths[c].values[:guard_node + 1] for c in ("P1", "P2", "P3"))
+    D4_inv, _ = node_inverse(D4, "D4", times)
+    P3_inv, _ = node_inverse(P3, "P3", times)
+    gain_X = -D4_inv @ (D1.mT @ (P1 + P2.mT @ P3_inv @ P2) + D3.mT @ P3_inv @ P2)
+    gain_Y = D4_inv @ (D1.mT @ P2.mT + D3.mT) @ P3_inv
     return paths["P1"], paths["P2"], paths["P3"], gain_X, gain_Y, guard_node

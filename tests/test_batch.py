@@ -22,7 +22,7 @@ from fblq.decouple import (
     iterate_limit,
 )
 from fblq.errors import DivergedError, SingularCoefficientError
-from fblq.linalg import gated_inverse, sym
+from fblq.linalg import gated_inverse, node_inverse, sym
 from fblq.model import CoefficientFunction
 from fblq.odes import OdeSystem, TimeGrid, integrate_terminal
 from fblq.riccati import build_augmented, solve_auxiliary_riccati
@@ -70,6 +70,10 @@ def test_gated_inverse_stack_names_first_failing_member(d):
         gated_inverse(stack, "L1")
     assert (err.value.name, err.value.member) == ("L1", 3)
     assert "L1" in str(err.value) and "member 3" in str(err.value)
+    # a node stack names the failing node by its time
+    with pytest.raises(SingularCoefficientError) as err:
+        node_inverse(stack, "L1", np.linspace(0.0, 1.0, 5))
+    assert (err.value.name, err.value.time, err.value.member) == ("L1", 0.75, None)
     stack[3] = np.eye(d)
     if d == 1:   # a 1x1 inverse is perfectly conditioned whenever it exists
         assert np.array_equal(gated_inverse(stack, "L1")[1], np.ones(5))

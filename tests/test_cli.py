@@ -82,6 +82,18 @@ def test_unknown_keys_rejected():
                            "horizon": 1.0, "coefficients": {"A9": 1.0}})
 
 
+@pytest.mark.parametrize("dims", [{"n": -1, "m": 1, "k": 1},   # crashed in np.zeros
+                                  {"n": 1.7, "m": 1, "k": 1},   # was truncated to n = 1
+                                  {"n": 1, "m": 0, "k": 1},
+                                  {"n": 1, "m": 1, "k": True}])
+def test_bad_dimensions_are_parse_errors(tmp_path, dims):
+    with pytest.raises(ParseError, match="must be a positive integer"):
+        problem_from_dict({"dimensions": dims, "horizon": 1.0})
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump({"dimensions": dims, "horizon": 1.0}), encoding="utf-8")
+    assert run(tmp_path, "validate", str(path)) == 1
+
+
 def test_piecewise_breakpoint_errors_are_parse_errors():
     doc = {
         "dimensions": {"n": 1, "m": 1, "k": 1},
@@ -202,6 +214,19 @@ def test_simulate_steps_must_refine_grid(tmp_path):
     code = run(tmp_path, "simulate", str(PROBLEMS / "allzero_smoke.yaml"),
                "--grid", "300", "--steps", "500", "--paths", "8")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "0"],
+    ["simulate", "--grid", "0"],
+    ["verify", "--suite", "monotone", "--grid", "-4"],
+    ["simulate", "--grid", "10", "--steps", "0"],
+    ["simulate", "--grid", "10", "--steps", "10", "--store-paths", "-1"],
+])
+def test_bad_numeric_arguments_exit_2(tmp_path, argv, capsys):
+    command, *options = argv
+    assert run(tmp_path, command, str(PROBLEMS / "allzero_smoke.yaml"), *options) == 2
+    assert "precondition failed" in capsys.readouterr().err
 
 
 def test_simulate_export_paths(tmp_path):

@@ -11,6 +11,7 @@ from conftest import (
 )
 from fblq.decouple import EXACT, integrate_direct
 from fblq.errors import DivergedError
+from fblq.linalg import gated_inverse
 from fblq.feedback import closed_loop_coefficients, evaluate_gain_table
 from fblq.mc import (
     SimConfig,
@@ -25,7 +26,13 @@ from fblq.mc import (
 )
 from fblq.model import FBLQProblem
 from fblq.odes import TimeGrid
-from fblq.riccati import build_augmented, solve_auxiliary_riccati, solve_offset_tilde
+from fblq.riccati import (
+    build_augmented,
+    m5_from_terms,
+    m_coefficients,
+    solve_auxiliary_riccati,
+    solve_offset_tilde,
+)
 from fblq.rng import brownian_increments, increment_block
 
 
@@ -183,6 +190,30 @@ def test_cost_identity_coupled_instance():
     report = cost_identity_check(prob, build_augmented(prob), sol, batch)
     assert report.agreement_z is not None and report.agreement_z <= 3.0
     assert report.truncation_estimate < 10.0 * report.mc_stderr
+
+
+def test_cost_identity_m5_integral_equals_per_node_sum():
+    # the node-stacked M5 against one evaluation per node of the simulation grid
+    prob = make_fully_coupled()
+    sol, batch = pipeline(prob, 200, 400, paths=4, seed=9, store=1)
+    aug = build_augmented(prob)
+    report = cost_identity_check(prob, aug, sol, batch)
+    grid = batch.grid
+    _, last = grid.guard_node()
+    vals = []
+    for t in grid.nodes[:last + 1]:
+        t = float(t)
+        P1, P2, P3, phi1, phi2 = sol.value(t)
+        P3_inv, _ = gated_inverse(P3, "P3")
+        w = gated_inverse(P1, "P1")[0] @ phi1
+        Pt = np.block([[P1 + P2.T @ P3_inv @ P2, -P2.T @ P3_inv], [-P3_inv @ P2, P3_inv]])
+        phit = np.concatenate([-w, phi2 - P2 @ w])[:, np.newaxis]
+        mc = m_coefficients(aug, Pt, t)
+        M1_inv, _ = gated_inverse(mc.M1, "M1")
+        vals.append(float(m5_from_terms(aug.snapshot(t), Pt, phit, M1_inv, mc.M2, mc.M3)))
+    expected = float(np.trapezoid(vals, dx=grid.dt))
+    assert expected != 0.0
+    assert report.m5_integral == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_stationarity_residual_is_floating_point_noise():

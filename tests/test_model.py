@@ -1,14 +1,19 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_smoke, random_matrix_problem, random_scalar_problem
-from fblq.errors import DomainError
+from conftest import (
+    make_smoke,
+    piecewise_matrix_problem,
+    random_matrix_problem,
+    random_scalar_problem,
+)
+from fblq.decouple import hamiltonian_blocks
+from fblq.errors import DomainError, SingularCoefficientError
 from fblq.model import (
-    COEFF_NAMES,
     LEVEL_BOUNDED,
     LEVEL_POSITIVE,
     LEVEL_STRICT,
@@ -18,6 +23,7 @@ from fblq.model import (
     validate,
 )
 from fblq.odes import TimeGrid
+from fblq.riccati import build_augmented
 
 
 def test_constant_coefficient_any_time():
@@ -34,22 +40,51 @@ def test_breakpoint_right_continuity_and_terminal():
     assert eval_coeffs(prob, 1.0).A1[0, 0] == 2.0   # last piece at the horizon
 
 
-@pytest.mark.parametrize("steps", [7, 40])
-def test_on_grid_equals_snapshot_at_every_node(steps):
-    # breakpoints 0.25, 0.5 and 0.75 are nodes of the 40-step grid only
+def switching_problem() -> FBLQProblem:
+    """A 2x1x1 random instance with A3 switching at 0.25 and 0.75 and D1 at 0.5."""
     base = random_matrix_problem(5, 2, 1, 1)
     A3, D1 = base.A3.values[0], base.D1.values[0]
-    prob = replace(base,
+    return replace(base,
                    A3=CoefficientFunction.piecewise([0.0, 0.25, 0.75], [A3, 2.0 * A3, -A3]),
                    D1=CoefficientFunction.piecewise([0.0, 0.5], [D1, 3.0 * D1]))
+
+
+@pytest.mark.parametrize("steps", [7, 40])
+def test_on_grid_equals_snapshot_at_every_node(steps):
+    # the breakpoints 0.25, 0.5 and 0.75 are nodes of the 40-step grid only
     grid = TimeGrid(1.0, steps)
-    stack = prob.on_grid(grid)
-    for name in COEFF_NAMES:
-        assert getattr(stack, name).shape == (steps + 1, *getattr(prob, name).shape)
-    for j, t in enumerate(grid.nodes):   # t = 0, breakpoints and t = T included
-        snap = prob.snapshot(float(t))
-        for name in COEFF_NAMES:
-            assert np.array_equal(getattr(stack, name)[j], getattr(snap, name)), (j, name)
+    for prob in (switching_problem(), piecewise_matrix_problem()):
+        aug = build_augmented(prob)
+        for stack, at in ((prob.on_grid(grid), prob.snapshot),
+                          (aug.on_grid(grid), aug.snapshot),
+                          (hamiltonian_blocks(prob, grid.nodes),
+                           lambda t: hamiltonian_blocks(prob, t))):
+            names = [f.name for f in fields(stack)]
+            for j, t in enumerate(grid.nodes):   # t = 0, breakpoints and t = T included
+                snap = at(float(t))
+                for name in names:
+                    assert getattr(stack, name).shape == (steps + 1, *getattr(snap, name).shape)
+                    assert np.array_equal(getattr(stack, name)[j], getattr(snap, name)), \
+                        (j, name)
+
+
+def test_derived_sets_are_built_once_per_piece_and_failures_keep_their_time():
+    prob = piecewise_matrix_problem()   # D4 switches at 0.25, A1 at 0.5
+    assert hamiltonian_blocks(prob, 0.3) is hamiltonian_blocks(prob, 0.45)
+    assert hamiltonian_blocks(prob, 0.3) is not hamiltonian_blocks(prob, 0.5)
+    assert not hamiltonian_blocks(prob, 0.3).C2.flags.writeable   # shared, so read-only
+    assert build_augmented(prob).snapshot(0.6) is build_augmented(prob).snapshot(1.0)
+
+    # a singular D4 on the last piece raises for that piece only, every time
+    bad = replace(prob, D4=CoefficientFunction.piecewise([0.0, 0.5], [[[1.0]], [[0.0]]]))
+    hamiltonian_blocks(bad, 0.2)
+    for _ in range(2):
+        with pytest.raises(SingularCoefficientError) as err:
+            hamiltonian_blocks(bad, 0.7)
+        assert err.value.name == "D4" and err.value.time is None
+    with pytest.raises(SingularCoefficientError) as err:
+        hamiltonian_blocks(bad, TimeGrid(1.0, 8).nodes)
+    assert err.value.name == "D4" and err.value.time == 0.5   # first node of the piece
 
 
 def test_eval_outside_horizon_raises():

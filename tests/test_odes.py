@@ -83,6 +83,24 @@ def test_small_closed_forms_match_lapack(d, entries):
     assert _norm1(mat) == float(np.abs(mat).sum(axis=0).max())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5),
+       st.lists(st.floats(-1e3, 1e3), min_size=80, max_size=80))
+def test_stacked_min_eig_matches_each_member(d, members, entries):
+    stack = np.array(entries[:members * d * d]).reshape(members, d, d)
+    got = min_eig_sym(stack)
+    want = np.array([min_eig_sym(mat) for mat in stack])
+    assert got.shape == (members,)
+    if d != 2:
+        assert np.array_equal(got, want)
+    else:
+        # np.hypot against math.hypot: one ulp apart, plus the rounding of
+        # the final subtraction, both at the scale |a| + |b| + |c|
+        b = 0.5 * (stack[:, 0, 1] + stack[:, 1, 0])
+        scale = np.abs(stack[:, 0, 0]) + np.abs(stack[:, 1, 1]) + np.abs(b)
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(scale))
+
+
 def test_rhs_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         OdeSystem(layout=(("p", (2, 2)),),
