@@ -257,6 +257,8 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     cfg = SimConfig(steps=args.steps, paths=args.paths, base_seed=args.seed,
                     store_paths=args.store_paths)
+    if args.export_paths < 0:
+        raise PreconditionError("--export-paths must be non-negative")
     problem, grid = _load(args)
     report = validate(problem, LEVEL_BOUNDED)
     if not report.passed:
@@ -416,13 +418,12 @@ def _suite_special(problem, grid) -> list[SuiteCheck]:
     return checks
 
 
-def _suite_optimality(problem, grid, paths: int, seed: int) -> list[SuiteCheck]:
+def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
     i = 64
     aug = build_augmented(problem)
     ric = solve_auxiliary_riccati(aug, problem, i, grid)
     offset = solve_offset_tilde(aug, ric, problem.xi, grid)
-    cfg = SimConfig(steps=grid.steps, paths=paths, base_seed=seed, store_paths=1)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=cfg.base_seed))
     epsilons = (0.05, 0.1, 0.2)
     controls = [("synthesized",)]
     for _ in range(10):
@@ -437,7 +438,7 @@ def _suite_optimality(problem, grid, paths: int, seed: int) -> list[SuiteCheck]:
         for eps, pert in zip(epsilons, perturbed[first:first + len(epsilons)]):
             diff = pert.samples - base.samples
             mean = float(np.mean(diff))
-            stderr = float(np.std(diff, ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
+            stderr = float(np.std(diff, ddof=1) / np.sqrt(cfg.paths)) if cfg.paths > 1 else 0.0
             gaps[eps] = (mean, stderr)
             z = -mean / stderr if stderr > 0 else (0.0 if mean >= 0 else np.inf)
             worst_z = max(worst_z, z)
@@ -463,6 +464,8 @@ def cmd_verify(args) -> int:
         args.problem, _sha256(Path(args.problem)), args.grid)
     t0 = time.perf_counter()
     problem, grid = _load(args)
+    # checked for every suite, though only the optimality suite simulates
+    cfg = SimConfig(steps=grid.steps, paths=args.paths, base_seed=args.seed, store_paths=1)
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     checks: list[SuiteCheck] = []
     wanted = args.suite
@@ -478,7 +481,7 @@ def cmd_verify(args) -> int:
         else:
             checks += _suite_special(problem, grid)
     if wanted in ("optimality", "all"):
-        checks += _suite_optimality(problem, grid, args.paths, args.seed)
+        checks += _suite_optimality(problem, grid, cfg)
     lines = [c.row() for c in checks]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)

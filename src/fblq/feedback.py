@@ -116,31 +116,29 @@ def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Node-indexed affine map on row vectors: S -> S gain[j]' + offset[j]."""
+    """Node-indexed affine map: S -> gain[j] S + offset[j]."""
 
     gain: np.ndarray     # (N+1, rows, n+m)
     offset: np.ndarray   # (N+1, rows)
-
-    def __call__(self, j: int, S: np.ndarray) -> np.ndarray:
-        return S @ self.gain[j].T + self.offset[j]
 
 
 @dataclass(frozen=True)
 class ClosedLoopSystem:
     """The optimal pair S = (X*, h*) as an affine SDE on one grid.
 
-    ``dynamics(j, S)`` stacks [drift; diffusion] of dS = drift dt +
-    diffusion dB (2(n+m) rows). ``recovery(j, S)`` stacks the processes
-    (X, Y, Z, u, m, n, h), whose rows ``rows`` names; the block-diagonal
-    ``weight[j]`` = diag(A4, B4, C4, D4) prices its leading (X, Y, Z, u)
-    rows. S(0) = (x0, h0) with h0 = (I + H P3(0))^-1 H (P2(0) x0 + phi2(0)).
+    Both maps act on S as a column (on a (n+m, paths) block, one per path).
+    ``dynamics`` stacks [drift; diffusion] of dS = drift dt + diffusion dB
+    (2(n+m) rows); ``recovery`` stacks the processes (X, Y, Z, u, m, n, h),
+    whose rows ``rows`` names. The running cost X'A4X + Y'B4Y + Z'C4Z +
+    u'D4u at node j is S~' running_cost[j] S~ with S~ = (X, h, 1).
+    S(0) = (x0, h0) with h0 = (I + H P3(0))^-1 H (P2(0) x0 + phi2(0)).
     """
 
     grid: TimeGrid
     dynamics: AffineMap
     recovery: AffineMap
     rows: dict[str, slice]
-    weight: np.ndarray   # (N+1, n+2m+k, n+2m+k)
+    running_cost: np.ndarray   # (N+1, n+m+1, n+m+1)
     x0: np.ndarray
     h0: np.ndarray
 
@@ -194,13 +192,13 @@ def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
                       [zero(m, n), zero(m, m), s.C4, zero(m, k), s.C1.mT, s.C2.mT, s.C3.mT]])
     dynamics = AffineMap(coeff @ recovery.gain,
                          (coeff @ recovery.offset[..., np.newaxis])[..., 0])
-    weight = np.block([[s.A4, zero(n, m), zero(n, m), zero(n, k)],
-                       [zero(m, n), s.B4, zero(m, m), zero(m, k)],
-                       [zero(m, n), zero(m, m), s.C4, zero(m, k)],
-                       [zero(k, n), zero(k, m), zero(k, m), s.D4]])
+    # the priced rows (X, Y, Z, u) are K~ (X, h, 1), weighted by A4, B4, C4, D4
+    K = np.concatenate([recovery.gain, recovery.offset[..., np.newaxis]], axis=2)
+    running_cost = sum(K[:, rows[name]].mT @ w @ K[:, rows[name]]
+                       for name, w in (("X", s.A4), ("Y", s.B4), ("Z", s.C4), ("u", s.D4)))
     h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
     return ClosedLoopSystem(grid=grid, dynamics=dynamics, recovery=recovery, rows=rows,
-                            weight=weight, x0=np.array(problem.x0), h0=h0)
+                            running_cost=running_cost, x0=np.array(problem.x0), h0=h0)
 
 
 def initial_h(problem: FBLQProblem, P2_0: np.ndarray, P3_0: np.ndarray,

@@ -1,18 +1,18 @@
 """Euler-Maruyama simulation of the closed loop and Monte Carlo verification.
 
-simulate_closed_loop drives the optimal pair (X*, h*) with the closed-loop
-coefficients, recovers every other process through the affine decoupling
-relations at each node, and accumulates per-path costs by trapezoidal
-quadrature while it walks, so arbitrarily many paths fit in memory. Full
-trajectories are retained only for the first ``store_paths`` paths; the
-residual diagnostics operate on that stored subset.
+Both loops run paths-last, one column per path, so each affine node map is
+one small matrix product along the contiguous path axis. simulate_closed_loop
+drives the optimal pair (X*, h*) and accumulates per-path costs by
+trapezoidal quadrature while it walks, so arbitrarily many paths fit in
+memory; the other processes are recovered only for the first
+``store_paths`` paths, whose trajectories feed the residual diagnostics.
 
 Optimality probing runs in the penalized stacked-forward formulation, where
 any (u, Z) policy is simulatable forward; probing the original problem would
 require solving one coupled forward-backward system per candidate control.
 All probed controls run in one batch: they share one increment block per
-path chunk (common random numbers) and one gain table, and one
-Euler-Maruyama pass advances the (controls, paths, state) stack.
+path chunk (common random numbers), one gain table and one Euler-Maruyama
+pass over every (control, path) column.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ class SimBatch:
     """
 
     grid: TimeGrid
-    config: SimConfig
     n_paths: int
     cost_samples: np.ndarray
     trajectories: dict[str, np.ndarray]
@@ -80,20 +79,15 @@ class SimBatch:
         return self.increments.shape[0]
 
 
-def _quad(S: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Quadratic form s' W s over the last axis of a stack of vectors."""
-    return np.einsum("...i,...i->...", S @ W, S)
-
-
 def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
                          cfg: SimConfig) -> SimBatch:
-    """Euler-Maruyama on S = (X*, h*) with nodewise recovery of (Y, Z, u, m, n).
+    """Euler-Maruyama on S = (X*, h*), recovering (Y, Z, u, m, n) on the stored paths.
 
-    The closed-loop system must live on the simulation grid. Each step
-    applies the recovery map, the running weight and the dynamics map to the
-    (paths, n+m) state. Deterministic: a fixed (base_seed, steps, paths)
-    reproduces the cost samples and trajectories bit-exactly regardless of
-    chunking.
+    The closed-loop system must live on the simulation grid. The loop runs
+    on S~ = (S, 1) as a (d+1, paths) block: a step is
+    S~ <- Phi_j S~ + (Psi_j S~) dB_j, the running cost the one form
+    S~' Q~_j S~. Deterministic: a fixed (base_seed, steps, paths) reproduces
+    the cost samples and trajectories bit-exactly regardless of chunking.
     """
     if sys.grid.steps != cfg.steps:
         raise DomainError("closed-loop system must be on the simulation grid")
@@ -101,12 +95,15 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
     dt = grid.dt
     steps = grid.steps
     n = problem.n
-    start = np.concatenate([sys.x0, sys.h0])
-    d = start.size
-    priced = sys.weight.shape[-1]   # the leading (X, Y, Z, u) rows
+    start = np.concatenate([sys.x0, sys.h0, [1.0]])
+    d = start.size - 1
+    step_map = np.concatenate([sys.dynamics.gain, sys.dynamics.offset[..., np.newaxis]], axis=2)
+    Phi, Psi = np.eye(d, d + 1) + dt * step_map[:, :d], step_map[:, d:]
+    y0 = sys.recovery.gain[0, sys.rows["Y"]] @ start[:d] + sys.recovery.offset[0, sys.rows["Y"]]
+    Q = sys.running_cost.copy()
+    Q[[0, -1]] *= 0.5   # trapezoidal end weights
     stored = cfg.store_paths
-    traj = {name: np.empty((stored, steps + 1, rows.stop - rows.start))
-            for name, rows in sys.rows.items()}
+    kept = np.empty((steps + 1, d, stored))
     stored_db = np.empty((stored, steps))
     cost = np.empty(cfg.paths)
     sum_s = np.zeros((steps + 1, d))
@@ -116,43 +113,37 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
         cnum = min(cfg.chunk, cfg.paths - p0)
         keep = max(0, min(cnum, stored - p0))
         dB = increment_block(cfg.base_seed, p0, cnum, steps, dt)
-        if keep:
-            stored_db[p0:p0 + keep] = dB[:keep]
-        S = np.broadcast_to(start, (cnum, d)).copy()
+        stored_db[p0:p0 + keep] = dB[:, :keep].T
+        St = np.repeat(start[:, np.newaxis], cnum, axis=1)   # S~, one column per path
+        S = St[:d]
         qsum = np.zeros(cnum)
-        q_ends = np.zeros(cnum)
         # overflow shows up as a non-finite state, which the step check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps + 1):
-                R = sys.recovery(j, S)
-                if j == 0:
-                    Y0 = R[:, sys.rows["Y"]]
-                q = _quad(R[:, :priced], sys.weight[j])
-                qsum += q
-                if j == 0 or j == steps:
-                    q_ends += q
-                sum_s[j] += S.sum(axis=0)
-                sumsq_s[j] += (S * S).sum(axis=0)
-                if keep:
-                    for name, rows in sys.rows.items():
-                        traj[name][p0:p0 + keep, j] = R[:keep, rows]
+                qsum += np.einsum("ip,ip->p", St, Q[j] @ St)
+                sum_s[j] += S.sum(axis=1)
+                sumsq_s[j] += np.einsum("ip,ip->i", S, S)
+                kept[j, :, p0:p0 + keep] = S[:, :keep]
                 if j == steps:
                     break
-                F = sys.dynamics(j, S)
-                S_next = S + F[:, :d] * dt + F[:, d:] * dB[:, j:j + 1]
-                if not np.all(np.isfinite(S_next)):
-                    bad = int(np.argmin(np.isfinite(S_next).all(axis=1)))
+                noise = Psi[j] @ St
+                noise *= dB[j]
+                np.add(Phi[j] @ St, noise, out=S)
+                if not np.all(np.isfinite(S)):
+                    bad = int(np.argmin(np.isfinite(S).all(axis=0)))
                     raise DivergedError(float(grid.nodes[j]),
                                         f"path {p0 + bad} at step {j + 1}")
-                S = S_next
-            integral = dt * (qsum - 0.5 * q_ends)
-            cost[p0:p0 + cnum] = 0.5 * (integral + _quad(S[:, :n], problem.G)
-                                        + _quad(Y0, problem.H))
+            X_T = S[:n]
+            cost[p0:p0 + cnum] = 0.5 * (dt * qsum
+                                        + np.einsum("ip,ip->p", X_T, problem.G @ X_T)
+                                        + y0 @ problem.H @ y0)
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost[p0:p0 + cnum])):
             bad = int(np.argmin(np.isfinite(cost[p0:p0 + cnum])))
             raise DivergedError(float(grid.T), f"cost of path {p0 + bad} non-finite")
 
+    recovered = (sys.recovery.gain @ kept).transpose(2, 0, 1)   # (stored, steps+1, rows)
+    recovered += sys.recovery.offset
     mean = sum_s / cfg.paths
     if cfg.paths > 1:
         var = np.maximum(sumsq_s / cfg.paths - mean ** 2, 0.0) * cfg.paths / (cfg.paths - 1)
@@ -160,8 +151,9 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
         var = np.zeros_like(mean)
     sem = np.sqrt(var / cfg.paths)
     return SimBatch(
-        grid=grid, config=cfg, n_paths=cfg.paths, cost_samples=cost,
-        trajectories=traj, increments=stored_db,
+        grid=grid, n_paths=cfg.paths, cost_samples=cost,
+        trajectories={name: recovered[..., rows] for name, rows in sys.rows.items()},
+        increments=stored_db,
         node_mean={"X": mean[:, :n], "h": mean[:, n:]},
         node_sem={"X": sem[:, :n], "h": sem[:, n:]},
     )
@@ -369,9 +361,11 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     terminal penalty 0.5*i*|Y(T) - F X(T) - xi|^2.
 
     All controls share one increment block per path chunk (common random
-    numbers), one gain table and one Euler-Maruyama pass whose state rows
-    are the chunk's (control, path) pairs. A control's samples do not depend
-    on the other controls in the batch or on the chunk size, so the eps = 0
+    numbers), one gain table and one Euler-Maruyama pass over the chunk's
+    (control, path) columns, control-major, each holding V = (S, u): the
+    running cost is one form V' diag(Q, R) V and a step is
+    S <- Phi_j V + (Psi_j V) dB_j. A control's samples do not depend on the
+    other controls in the batch or on the chunk size, so the eps = 0
     perturbation is bitwise equal to the synthesized run.
     """
     if riccati_i.i != i:
@@ -383,62 +377,62 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     nc = len(controls)
     Pt = riccati_i.Ptilde.on_grid(grid)
     if offset_tilde is not None:
-        phit = offset_tilde.on_grid(grid)[:, :, 0]
+        phit = offset_tilde.on_grid(grid)
     else:
-        phit = np.zeros((cfg.steps + 1, d))
-    pert = np.empty((nc, cfg.steps + 1, cdim))
+        phit = np.zeros((cfg.steps + 1, d, 1))
+    pert = np.empty((cfg.steps + 1, cdim, nc, 1))
     for c, control in enumerate(controls):
         eps, delta = _perturbation(control, cfg.steps, cdim)
-        pert[c] = eps * delta
+        pert[:, :, c, 0] = eps * delta
 
     mc = m_coefficients(aug, Pt, grid.nodes)
     M1_inv, _ = node_inverse(mc.M1, "M1", grid.nodes)
     gains = -M1_inv @ mc.M2
-    offs = (M1_inv @ (mc.M3 @ phit[..., np.newaxis]))[..., 0]
+    # per control: the feedback offset M1^-1 M3 phi~ plus its perturbation
+    offs = (M1_inv @ (mc.M3 @ phit))[:, :, np.newaxis] + pert
     s = aug.on_grid(grid)
-    A, B, C, D, Q, R = s.A, s.B, s.C, s.D, s.Q, s.R
+    dt = grid.dt
+    Phi = np.concatenate([np.eye(d) + dt * s.A, dt * s.B], axis=2)
+    Psi = np.concatenate([s.C, s.D], axis=2)
+    W = np.block([[s.Q, np.zeros_like(s.B)], [np.zeros_like(s.B.mT), s.R]])
+    W[[0, -1]] *= 0.5   # trapezoidal end weights
 
     P3_0, _ = gated_inverse(Pt[0][n:, n:], "P3_tilde")
     P2_0 = -P3_0 @ Pt[0][n:, :n]
-    phi2_0 = phit[0][n:] - P2_0 @ phit[0][:n]
+    phi2_0 = phit[0, n:, 0] - P2_0 @ phit[0, :n, 0]
     y0 = P2_0 @ problem.x0 + phi2_0 - P3_0 @ initial_h(problem, P2_0, P3_0, phi2_0)
     start = np.concatenate([problem.x0, y0])
 
-    dt = grid.dt
     samples = np.empty((nc, cfg.paths))
     for p0 in range(0, cfg.paths, cfg.chunk):
         cnum = min(cfg.chunk, cfg.paths - p0)
         dB = increment_block(cfg.base_seed, p0, cnum, cfg.steps, dt)
-        # rows are (control, path) pairs, control-major: one matrix product
-        # per coefficient serves the whole batch
-        S = np.broadcast_to(start, (nc * cnum, d)).copy()
+        V = np.empty((d + cdim, nc * cnum))
+        V[:d] = start[:, np.newaxis]
+        S, u, noise = V[:d], V[d:], np.empty((d, nc * cnum))
+        u_by_control, noise_by_control = u.reshape(cdim, nc, cnum), noise.reshape(d, nc, cnum)
         qsum = np.zeros(nc * cnum)
-        q_ends = np.zeros(nc * cnum)
         # overflow shows up as a non-finite state, which the step check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(cfg.steps + 1):
-                u = S @ gains[j].T + offs[j]
-                u_by_control = u.reshape(nc, cnum, cdim)
-                u_by_control += pert[:, j, np.newaxis]
-                q = _quad(S, Q[j]) + _quad(u, R[j])
-                qsum += q
-                if j == 0 or j == cfg.steps:
-                    q_ends += q
+                np.matmul(gains[j], S, out=u)
+                u_by_control += offs[j]
+                qsum += np.einsum("ip,ip->p", V, W[j] @ V)
                 if j == cfg.steps:
                     break
-                noise = S @ C[j].T + u @ D[j].T
-                noise_by_control = noise.reshape(nc, cnum, d)
-                noise_by_control *= dB[:, j:j + 1]
-                S_next = S + (S @ A[j].T + u @ B[j].T) * dt + noise
-                if not np.all(np.isfinite(S_next)):
-                    c, bad = divmod(int(np.argmin(np.isfinite(S_next).all(axis=1))), cnum)
+                np.matmul(Psi[j], V, out=noise)
+                noise_by_control *= dB[j]
+                np.add(Phi[j] @ V, noise, out=S)
+                if not np.all(np.isfinite(S)):
+                    c, bad = divmod(int(np.argmin(np.isfinite(S).all(axis=0))), cnum)
                     raise DivergedError(float(grid.nodes[j]),
                                         f"control {c}, path {p0 + bad} at step {j + 1}")
-                S = S_next
-            X_T, Y_T = S[:, :n], S[:, n:]
-            gap = Y_T - X_T @ problem.F.T - problem.xi
-            cost = 0.5 * (dt * (qsum - 0.5 * q_ends) + _quad(X_T, problem.G)
-                          + i * np.sum(gap * gap, axis=1))
+            X_T, Y_T = S[:n], S[n:]
+            # einsum: with a one-row F, F @ X_T would round by column position
+            gap = Y_T - np.einsum("ij,jp->ip", problem.F, X_T) - problem.xi[:, np.newaxis]
+            cost = 0.5 * (dt * qsum
+                          + np.einsum("ip,ip->p", X_T, problem.G @ X_T)
+                          + i * np.einsum("ip,ip->p", gap, gap))
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost)):
             c, bad = divmod(int(np.argmin(np.isfinite(cost))), cnum)

@@ -222,6 +222,8 @@ def test_simulate_steps_must_refine_grid(tmp_path):
     ["verify", "--suite", "monotone", "--grid", "-4"],
     ["simulate", "--grid", "10", "--steps", "0"],
     ["simulate", "--grid", "10", "--steps", "10", "--store-paths", "-1"],
+    ["simulate", "--grid", "10", "--steps", "10", "--export-paths", "-1"],
+    ["verify", "--suite", "monotone", "--grid", "10", "--paths", "0"],
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, argv, capsys):
     command, *options = argv

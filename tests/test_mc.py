@@ -8,6 +8,7 @@ from conftest import (
     make_indefinite,
     make_partially_coupled,
     make_smoke,
+    piecewise_matrix_problem,
 )
 from fblq.decouple import EXACT, integrate_direct
 from fblq.errors import DivergedError
@@ -51,7 +52,7 @@ def pipeline(prob, ode_steps, sim_steps, paths, seed, store=None):
 def test_increments_are_per_path_keyed():
     a = brownian_increments(123, 7, 50, 0.01)
     block = increment_block(123, 5, 4, 50, 0.01)
-    assert np.array_equal(block[2], a)
+    assert np.array_equal(block[:, 2], a)
     assert np.array_equal(brownian_increments(123 + 7, 0, 50, 0.01), a)
 
 
@@ -62,9 +63,10 @@ def test_increments_are_per_path_keyed():
     (1 << 128) - 4,          # keys wrapping at 2**128
 ])
 def test_increment_block_matches_per_path_streams(base_seed):
-    block = increment_block(base_seed, 1, 8, 33, 0.02)
-    for r in range(8):
-        assert np.array_equal(block[r], brownian_increments(base_seed, 1 + r, 33, 0.02))
+    for n_paths in (8, 300):   # 300 paths span more than one generation tile
+        block = increment_block(base_seed, 1, n_paths, 33, 0.02)
+        for r in range(n_paths):
+            assert np.array_equal(block[:, r], brownian_increments(base_seed, 1 + r, 33, 0.02))
 
 
 def test_zero_dynamics_paths(grid1000):
@@ -155,12 +157,14 @@ def test_seed_reproducibility_and_chunk_invariance():
 
 
 def test_streaming_cost_matches_recomputation():
-    prob = make_fully_coupled()
-    sol, batch = pipeline(prob, 500, 500, paths=40, seed=3, store=40)
-    streaming = evaluate_cost(prob, batch)
-    recomputed = evaluate_cost(prob, batch, recompute=True)
-    assert streaming.mc_mean == pytest.approx(recomputed.mc_mean, abs=1e-12)
-    assert streaming.mc_stderr == pytest.approx(recomputed.mc_stderr, abs=1e-12)
+    # the piecewise matrix instance prices every recovered block at general
+    # dimensions, pinning the folded running-cost form against the trajectories
+    for prob in (make_fully_coupled(), piecewise_matrix_problem()):
+        sol, batch = pipeline(prob, 500, 500, paths=40, seed=3, store=40)
+        streaming = evaluate_cost(prob, batch)
+        recomputed = evaluate_cost(prob, batch, recompute=True)
+        assert streaming.mc_mean == pytest.approx(recomputed.mc_mean, abs=1e-12)
+        assert streaming.mc_stderr == pytest.approx(recomputed.mc_stderr, abs=1e-12)
 
 
 def test_cost_identity_zero_dynamics():
@@ -305,16 +309,18 @@ def test_penalized_batch_equals_single_runs():
 
 
 def test_penalized_batch_is_chunk_invariant():
-    prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
-    controls = probe_controls(21, aug.control_dim)
-    full = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
-    chunked = simulate_penalized_forward(
-        aug, ric, offset, controls, prob, 8,
-        SimConfig(steps=cfg.steps, paths=cfg.paths, base_seed=cfg.base_seed,
-                  store_paths=1, chunk=37))
-    for a, b in zip(full, chunked):
-        assert np.array_equal(a.samples, b.samples)
+    # the piecewise 2x1x1 instance has a one-row F in the terminal penalty,
+    # whose product with X(T) must not depend on a column's position
+    for prob, chunk in ((make_partially_coupled(), 37), (piecewise_matrix_problem(), 5)):
+        aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
+        controls = probe_controls(21, aug.control_dim)
+        full = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+        chunked = simulate_penalized_forward(
+            aug, ric, offset, controls, prob, 8,
+            SimConfig(steps=cfg.steps, paths=cfg.paths, base_seed=cfg.base_seed,
+                      store_paths=1, chunk=chunk))
+        for a, b in zip(full, chunked):
+            assert np.array_equal(a.samples, b.samples)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

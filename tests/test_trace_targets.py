@@ -86,5 +86,6 @@ def test_traced_simulate_binds_arguments(tmp_path):
     assert code == 0
     attrs = {s[0]: s[5] for s in tracer.spans}
     assert attrs["mc.simulate_closed_loop"] == {"path_steps": 8 * 20}
+    assert attrs["rng.increment_block"] == {"key0": 20240801, "paths": 8, "steps": 20}
     assert attrs["feedback.gain_table"] == {"nodes": 21}
     assert "feedback.closed_loop" in attrs and "mc.stationarity" in attrs
