@@ -182,9 +182,8 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
             raise DomainError("--method riccati needs a finite penalization index")
         i = int(schedule[0])
         aug = build_augmented(problem)
-        ric = solve_auxiliary_riccati(aug, problem, i, grid)
-        offset = solve_offset_tilde(aug, ric, problem.xi, grid)
-        return transform_from_riccati(ric, offset), {"riccati": ric}
+        ric, psi = solve_offset_tilde(aug, problem, i, grid)
+        return transform_from_riccati(ric, psi), {"riccati": ric}
     if method == "limit":
         if schedule == EXACT:
             raise DomainError("--method limit needs a numeric schedule")
@@ -421,8 +420,7 @@ def _suite_special(problem, grid) -> list[SuiteCheck]:
 def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
     i = 64
     aug = build_augmented(problem)
-    ric = solve_auxiliary_riccati(aug, problem, i, grid)
-    offset = solve_offset_tilde(aug, ric, problem.xi, grid)
+    ric, psi = solve_offset_tilde(aug, problem, i, grid)
     rng = np.random.Generator(np.random.Philox(key=cfg.base_seed))
     epsilons = (0.05, 0.1, 0.2)
     controls = [("synthesized",)]
@@ -430,7 +428,7 @@ def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
         direction = rng.standard_normal(aug.control_dim)
         direction /= np.linalg.norm(direction)
         controls += [("perturbed", eps, direction) for eps in epsilons]
-    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls, problem, i, cfg)
+    base, *perturbed = simulate_penalized_forward(aug, ric, psi, controls, problem, i, cfg)
     worst_z = -np.inf
     ratio_checks = []
     for first in range(0, len(perturbed), len(epsilons)):

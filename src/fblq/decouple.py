@@ -20,8 +20,8 @@ identity_suite numerically checks the block-algebra relations tying the
 routes together, which is how implementation slips in any of the three
 surface immediately.
 
-With a deterministic terminal offset the diffusion offsets v1, v2 vanish and
-every offset equation is an ODE.
+With a deterministic terminal offset the martingale parts of the offset
+equations vanish and every offset equation is an ODE.
 """
 
 from __future__ import annotations
@@ -45,10 +45,9 @@ from .riccati import (
     build_augmented,
     m5_from_terms,
     m_coefficients,
-    solve_auxiliary_riccati,
     solve_offset_tilde,
 )
-from .odes import MatrixPath, OdeSystem, TimeGrid, constant_path, integrate_terminal
+from .odes import MatrixPath, OdeSystem, TimeGrid, integrate_terminal
 
 EXACT = "exact"
 DEFAULT_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256)
@@ -104,7 +103,7 @@ def _eye(d: int) -> np.ndarray:
     return out
 
 
-def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
+def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None,
            n=None, m=None) -> GainCoefficients:
     """The gain family for (d, d) blocks or (B, d, d) stacks of them.
 
@@ -138,14 +137,12 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
 
     S2 = S3 = S4 = S5 = None
     if phi1 is not None:
-        v1 = np.zeros_like(phi1) if v1 is None else v1
-        v2 = np.zeros_like(phi2) if v2 is None else v2
-        S2 = (P1 @ s.B2 @ phi2 + P2.mT @ (s.C1.mT @ phi1) + v1
-              + W @ (L1_inv @ (P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1) + v2)))
+        S2 = (P1 @ s.B2 @ phi2 + P2.mT @ (s.C1.mT @ phi1)
+              + W @ (L1_inv @ (P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1))))
         S3 = -L5_inv @ (s.D1.mT @ phi1 + s.D2.mT @ (L2_inv @ S2))
         S4 = L2_inv @ (S1 @ (s.D2 @ S3) + S2)
         S5 = L1_inv @ (P2 @ (s.D2 @ S3) - P3 @ (s.C2.mT @ S4)
-                       + P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1) + v2)
+                       + P2 @ s.B2 @ phi2 - P3 @ (s.C1.mT @ phi1))
 
     return GainCoefficients(
         L1=L1, L2=L2, L3=L3, L4=L4, L5=L5, L6=L6, L7=L7, L8=L8, L9=L9,
@@ -157,7 +154,7 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None, v1=None, v2=None,
 
 
 def l_coefficients(problem: FBLQProblem, P1, P2, P3, phi1=None, phi2=None,
-                   v1=None, v2=None, t: float = 0.0) -> GainCoefficients:
+                   t: float = 0.0) -> GainCoefficients:
     """Gain family at time ``t`` for given decoupling blocks and offsets.
 
     Raises SingularCoefficientError naming L1, L2 or L5 when a required
@@ -170,7 +167,7 @@ def l_coefficients(problem: FBLQProblem, P1, P2, P3, phi1=None, phi2=None,
     if phi1 is not None:
         phi1 = np.asarray(phi1, dtype=float).reshape(-1)
         phi2 = np.asarray(phi2, dtype=float).reshape(-1)
-    return _gains(s, P1, P2, P3, phi1, phi2, v1, v2, n=problem.n, m=problem.m)
+    return _gains(s, P1, P2, P3, phi1, phi2, n=problem.n, m=problem.m)
 
 
 # ---------------------------------------------------------------------------
@@ -226,19 +223,13 @@ class SolutionSource:
 
 @dataclass(frozen=True)
 class DecoupledSolution:
-    """The decoupling quintuple on a grid, plus its provenance.
-
-    The diffusion offsets v1, v2 are identically zero under the
-    deterministic-terminal-offset reduction, and are stored as zero paths.
-    """
+    """The decoupling quintuple on a grid, plus its provenance."""
 
     P1: MatrixPath
     P2: MatrixPath
     P3: MatrixPath
     phi1: MatrixPath
     phi2: MatrixPath
-    v1: MatrixPath
-    v2: MatrixPath
     source: SolutionSource
 
     @property
@@ -362,8 +353,6 @@ def _integrate_direct_scalar(problem: FBLQProblem, terminal_index,
     return DecoupledSolution(
         P1=path(0, "symmetric"), P2=path(1), P3=path(2, "symmetric"),
         phi1=path(3), phi2=path(4),
-        v1=constant_path(grid, np.zeros((1, 1))),
-        v2=constant_path(grid, np.zeros((1, 1))),
         source=SolutionSource("direct", index),
     )
 
@@ -412,8 +401,6 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
     paths = integrate_terminal(system, grid)
     sols = [DecoupledSolution(
         P1=p["P1"], P2=p["P2"], P3=p["P3"], phi1=p["phi1"], phi2=p["phi2"],
-        v1=constant_path(grid, np.zeros((n, 1))),
-        v2=constant_path(grid, np.zeros((m, 1))),
         source=SolutionSource("direct", None if i == EXACT else int(i)),
     ) for i, p in zip(indices, paths if batched else [paths])]
     return sols if batched else sols[0]
@@ -507,39 +494,30 @@ def solve_offsets(problem: FBLQProblem, P1: MatrixPath, P2: MatrixPath,
 # transform route
 # ---------------------------------------------------------------------------
 
-def transform_from_riccati(sol: RiccatiSolution,
-                           offset_tilde: MatrixPath | None = None) -> DecoupledSolution:
+def transform_from_riccati(sol: RiccatiSolution, psi: MatrixPath) -> DecoupledSolution:
     """Map the penalized augmented Riccati path onto the decoupling blocks.
 
-    Nodewise: P1 = Pt1 - Pt2' Pt3^-1 Pt2, P2 = -Pt3^-1 Pt2, P3 = Pt3^-1,
-    then phi1 = -P1 phit1 and phi2 = phit2 - P2 phit1 when the augmented
-    offset path is supplied (it is required whenever the terminal offset xi
-    is nonzero; without it the offsets are returned as zero paths).
+    Nodewise: P1 = Pt1 - Pt2' Pt3^-1 Pt2, P2 = -Pt3^-1 Pt2, P3 = Pt3^-1, and
+    from the offset path psi = Pt phi~ of solve_offset_tilde,
+    phi1 = -psi1 - P2' psi2 and phi2 = P3 psi2 (no inverse of Pt or P1).
     """
-    n, m = sol.n, sol.m
+    n = sol.n
     grid = sol.Ptilde.grid
-    steps = grid.steps
-    if offset_tilde is not None and offset_tilde.values.shape[0] != steps + 1:
+    if psi.values.shape[0] != grid.steps + 1:
         raise DomainError("offset path must share the Riccati grid")
     Pt = sol.Ptilde.values
     Pt1, Pt2, Pt3 = Pt[:, :n, :n], Pt[:, n:, :n], Pt[:, n:, n:]
     Pt3_inv, _ = node_inverse(Pt3, "P3_tilde", grid.nodes)
     P1v = sym(Pt1 - Pt2.mT @ Pt3_inv @ Pt2)
     P2v = -Pt3_inv @ Pt2
-    if offset_tilde is None:
-        phi1v, phi2v = np.zeros((steps + 1, n, 1)), np.zeros((steps + 1, m, 1))
-    else:
-        phit = offset_tilde.values
-        phi1v = -P1v @ phit[:, :n]
-        phi2v = phit[:, n:] - P2v @ phit[:, :n]
+    P3v = sym(Pt3_inv)
+    psi1, psi2 = psi.values[:, :n], psi.values[:, n:]
     return DecoupledSolution(
         P1=MatrixPath(grid, P1v, "symmetric"),
         P2=MatrixPath(grid, P2v),
-        P3=MatrixPath(grid, sym(Pt3_inv), "symmetric"),
-        phi1=MatrixPath(grid, phi1v),
-        phi2=MatrixPath(grid, phi2v),
-        v1=constant_path(grid, np.zeros((n, 1))),
-        v2=constant_path(grid, np.zeros((m, 1))),
+        P3=MatrixPath(grid, P3v, "symmetric"),
+        phi1=MatrixPath(grid, -P2v.mT @ psi2 - psi1),   # +0.0, not -0.0, where psi = 0
+        phi2=MatrixPath(grid, P3v @ psi2),
         source=SolutionSource("transformed", sol.i),
     )
 
@@ -678,9 +656,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
 
         def solve_one(i: int) -> DecoupledSolution:
             if i not in cache:
-                ric = solve_auxiliary_riccati(aug, problem, i, grid)
-                offset = solve_offset_tilde(aug, ric, problem.xi, grid)
-                cache[i] = transform_from_riccati(ric, offset)
+                cache[i] = transform_from_riccati(*solve_offset_tilde(aug, problem, i, grid))
             return cache[i]
 
     iterates: list[tuple[int, DecoupledSolution]] = []

@@ -79,6 +79,17 @@ class SimBatch:
         return self.increments.shape[0]
 
 
+def _two_columns_at_least(dB: np.ndarray) -> np.ndarray:
+    """The (steps, paths) increments, a lone path doubled into two equal columns.
+
+    A one-column block would send matmul, einsum and the path sums down
+    numpy's vector kernels, which round differently; the loops step the
+    doubled block and keep its first column, so a chunk of one path gives
+    the bits of any wider chunk.
+    """
+    return dB if dB.shape[1] > 1 else np.repeat(dB, 2, axis=1)
+
+
 def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
                          cfg: SimConfig) -> SimBatch:
     """Euler-Maruyama on S = (X*, h*), recovering (Y, Z, u, m, n) on the stored paths.
@@ -112,17 +123,18 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
     for p0 in range(0, cfg.paths, cfg.chunk):
         cnum = min(cfg.chunk, cfg.paths - p0)
         keep = max(0, min(cnum, stored - p0))
-        dB = increment_block(cfg.base_seed, p0, cnum, steps, dt)
+        dB = _two_columns_at_least(increment_block(cfg.base_seed, p0, cnum, steps, dt))
+        width = dB.shape[1]
         stored_db[p0:p0 + keep] = dB[:, :keep].T
-        St = np.repeat(start[:, np.newaxis], cnum, axis=1)   # S~, one column per path
-        S = St[:d]
-        qsum = np.zeros(cnum)
+        St = np.repeat(start[:, np.newaxis], width, axis=1)   # S~, one column per path
+        S, own = St[:d], St[:d, :cnum]   # own: the chunk's paths, without a doubled column
+        qsum = np.zeros(width)
         # overflow shows up as a non-finite state, which the step check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(steps + 1):
                 qsum += np.einsum("ip,ip->p", St, Q[j] @ St)
-                sum_s[j] += S.sum(axis=1)
-                sumsq_s[j] += np.einsum("ip,ip->i", S, S)
+                sum_s[j] += own.sum(axis=1)
+                sumsq_s[j] += np.einsum("ip,ip->i", own, own)
                 kept[j, :, p0:p0 + keep] = S[:, :keep]
                 if j == steps:
                     break
@@ -136,7 +148,7 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
             X_T = S[:n]
             cost[p0:p0 + cnum] = 0.5 * (dt * qsum
                                         + np.einsum("ip,ip->p", X_T, problem.G @ X_T)
-                                        + y0 @ problem.H @ y0)
+                                        + y0 @ problem.H @ y0)[:cnum]
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost[p0:p0 + cnum])):
             bad = int(np.argmin(np.isfinite(cost[p0:p0 + cnum])))
@@ -349,10 +361,13 @@ def _perturbation(control, steps: int, dim: int) -> tuple[float, np.ndarray]:
 
 
 def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
-                               offset_tilde: MatrixPath | None, controls,
+                               psi: MatrixPath, controls,
                                problem: FBLQProblem, i: int,
                                cfg: SimConfig) -> list[PenalizedCost]:
     """Forward simulation of the stacked state under a batch of (u, Z) policies.
+
+    ``psi`` is the offset path P phi~ that solve_offset_tilde returns next to
+    ``riccati_i``.
 
     ``controls`` is a sequence of specs, each ("synthesized",) for the
     completion-of-squares feedback or ("perturbed", eps, direction) to add
@@ -376,10 +391,7 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     n = problem.n
     nc = len(controls)
     Pt = riccati_i.Ptilde.on_grid(grid)
-    if offset_tilde is not None:
-        phit = offset_tilde.on_grid(grid)
-    else:
-        phit = np.zeros((cfg.steps + 1, d, 1))
+    psi_grid = psi.on_grid(grid)
     pert = np.empty((cfg.steps + 1, cdim, nc, 1))
     for c, control in enumerate(controls):
         eps, delta = _perturbation(control, cfg.steps, cdim)
@@ -388,9 +400,9 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     mc = m_coefficients(aug, Pt, grid.nodes)
     M1_inv, _ = node_inverse(mc.M1, "M1", grid.nodes)
     gains = -M1_inv @ mc.M2
-    # per control: the feedback offset M1^-1 M3 phi~ plus its perturbation
-    offs = (M1_inv @ (mc.M3 @ phit))[:, :, np.newaxis] + pert
     s = aug.on_grid(grid)
+    # per control: the feedback offset M1^-1 B' psi (= M1^-1 M3 phi~) plus its perturbation
+    offs = (M1_inv @ (s.B.mT @ psi_grid))[:, :, np.newaxis] + pert
     dt = grid.dt
     Phi = np.concatenate([np.eye(d) + dt * s.A, dt * s.B], axis=2)
     Psi = np.concatenate([s.C, s.D], axis=2)
@@ -399,19 +411,20 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
 
     P3_0, _ = gated_inverse(Pt[0][n:, n:], "P3_tilde")
     P2_0 = -P3_0 @ Pt[0][n:, :n]
-    phi2_0 = phit[0, n:, 0] - P2_0 @ phit[0, :n, 0]
+    phi2_0 = P3_0 @ psi_grid[0, n:, 0]
     y0 = P2_0 @ problem.x0 + phi2_0 - P3_0 @ initial_h(problem, P2_0, P3_0, phi2_0)
     start = np.concatenate([problem.x0, y0])
 
     samples = np.empty((nc, cfg.paths))
     for p0 in range(0, cfg.paths, cfg.chunk):
         cnum = min(cfg.chunk, cfg.paths - p0)
-        dB = increment_block(cfg.base_seed, p0, cnum, cfg.steps, dt)
-        V = np.empty((d + cdim, nc * cnum))
+        dB = _two_columns_at_least(increment_block(cfg.base_seed, p0, cnum, cfg.steps, dt))
+        width = dB.shape[1]
+        V = np.empty((d + cdim, nc * width))
         V[:d] = start[:, np.newaxis]
-        S, u, noise = V[:d], V[d:], np.empty((d, nc * cnum))
-        u_by_control, noise_by_control = u.reshape(cdim, nc, cnum), noise.reshape(d, nc, cnum)
-        qsum = np.zeros(nc * cnum)
+        S, u, noise = V[:d], V[d:], np.empty((d, nc * width))
+        u_by_control, noise_by_control = u.reshape(cdim, nc, width), noise.reshape(d, nc, width)
+        qsum = np.zeros(nc * width)
         # overflow shows up as a non-finite state, which the step check reports
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(cfg.steps + 1):
@@ -424,7 +437,7 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
                 noise_by_control *= dB[j]
                 np.add(Phi[j] @ V, noise, out=S)
                 if not np.all(np.isfinite(S)):
-                    c, bad = divmod(int(np.argmin(np.isfinite(S).all(axis=0))), cnum)
+                    c, bad = divmod(int(np.argmin(np.isfinite(S).all(axis=0))), width)
                     raise DivergedError(float(grid.nodes[j]),
                                         f"control {c}, path {p0 + bad} at step {j + 1}")
             X_T, Y_T = S[:n], S[n:]
@@ -435,9 +448,9 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
                           + i * np.einsum("ip,ip->p", gap, gap))
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost)):
-            c, bad = divmod(int(np.argmin(np.isfinite(cost))), cnum)
+            c, bad = divmod(int(np.argmin(np.isfinite(cost))), width)
             raise DivergedError(float(grid.T), f"cost of control {c}, path {p0 + bad} non-finite")
-        samples[:, p0:p0 + cnum] = cost.reshape(nc, cnum)
+        samples[:, p0:p0 + cnum] = cost.reshape(nc, width)[:, :cnum]
     return [PenalizedCost(*_mean_stderr(row), row) for row in samples]
 
 

@@ -11,6 +11,12 @@ The Riccati flow carries the running side condition M1 = R + D'PD > 0; the
 solve aborts the first time (going backward) its smallest eigenvalue drops
 below M1_MARGIN.
 
+The augmented offset phi~ (terminal (0, xi)) enters the transform only
+through psi = P phi~, which obeys psi' = M2' M1^-1 B' psi - A' psi with
+psi(T) = P(T)(0, xi): the P' phi~ terms cancel, so psi rides along in the
+Riccati pass and no stage inverts P, which is singular at T when G = F = 0.
+The transform then reads phi1 = -psi1 - P2' psi2 and phi2 = P3 psi2.
+
 The augmented blocks are built once per coefficient piece (FBLQProblem.derived);
 the completion-of-squares terms take single matrices or node stacks alike.
 """
@@ -124,18 +130,18 @@ def _pdot(s: AugSnapshot, P: np.ndarray, M1_inv: np.ndarray, M2: np.ndarray) -> 
 
 
 def _riccati_stage(aug: AugmentedLQ, t: float, P: np.ndarray):
-    """(snapshot, M1^-1, M2, M3, Pdot) at one stage of the Riccati flow.
+    """(snapshot, M1^-1, M2, Pdot) at one stage of the Riccati flow.
 
     The M1 side condition is checked before M1 is inverted, so a vanishing
     margin is reported as ConstraintViolatedError, not as a singular M1.
     """
     s = aug.snapshot(t)
-    M1, M2, M3, _ = _m_terms(s, P)
+    M1, M2, _, _ = _m_terms(s, P)
     low = min_eig_sym(M1)
     if low < M1_MARGIN:
         raise ConstraintViolatedError("M1 = R + D'PD", t, low)
     M1_inv, _ = gated_inverse(M1, "M1")
-    return s, M1_inv, M2, M3, _pdot(s, P, M1_inv, M2)
+    return s, M1_inv, M2, _pdot(s, P, M1_inv, M2)
 
 
 @dataclass(frozen=True)
@@ -166,6 +172,27 @@ class RiccatiSolution:
         return P1t, P2t, P3t
 
 
+def _riccati_paths(aug: AugmentedLQ, problem: FBLQProblem, i: int, grid: TimeGrid,
+                   layout, rhs, terminal):
+    """Integrate a system whose block "P" is the penalized Riccati flow for
+    index ``i``, next to the extra blocks of ``layout``; returns
+    (RiccatiSolution, every path by block name)."""
+    if i < 1:
+        raise DomainError("penalization index i must be >= 1")
+    system = OdeSystem(
+        layout=(("P", (aug.state_dim,) * 2), *layout),
+        rhs=rhs,
+        terminal={"P": penalized_terminal(problem, i), **terminal},
+        symmetric=frozenset({"P"}),
+    )
+    paths = integrate_terminal(system, grid)
+    P = paths["P"]
+    M1 = _m_terms(aug.on_grid(grid), P.values)[0]
+    sol = RiccatiSolution(i=i, Ptilde=P, m1_min_eig=frozen(min_eig_sym(M1)),
+                          n=problem.n, m=problem.m)
+    return sol, paths
+
+
 def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
                             grid: TimeGrid) -> RiccatiSolution:
     """Integrate the penalized Riccati equation backward for index ``i``.
@@ -173,25 +200,30 @@ def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
     Raises ConstraintViolatedError the first time min-eig(M1) < M1_MARGIN
     (this includes the terminal time itself) and DivergedError on blow-up.
     """
-    if i < 1:
-        raise DomainError("penalization index i must be >= 1")
-    terminal = penalized_terminal(problem, i)
-    d = aug.state_dim
-    system = OdeSystem(
-        layout=(("P", (d, d)),),
-        rhs=lambda t, blocks: {"P": _riccati_stage(aug, t, blocks["P"])[4]},
-        terminal={"P": terminal},
-        symmetric=frozenset({"P"}),
-    )
-    path = integrate_terminal(system, grid)["P"]
-    M1 = _m_terms(aug.on_grid(grid), path.values)[0]
-    return RiccatiSolution(
-        i=i,
-        Ptilde=path,
-        m1_min_eig=frozen(min_eig_sym(M1)),
-        n=problem.n,
-        m=problem.m,
-    )
+    return _riccati_paths(aug, problem, i, grid, (),
+                          lambda t, blocks: {"P": _riccati_stage(aug, t, blocks["P"])[3]},
+                          {})[0]
+
+
+def solve_offset_tilde(aug: AugmentedLQ, problem: FBLQProblem, i: int,
+                       grid: TimeGrid) -> tuple[RiccatiSolution, MatrixPath]:
+    """The Riccati solve for index ``i`` with the offset carried along:
+    returns (RiccatiSolution, path of psi = P phi~).
+
+    With a deterministic terminal offset (0, xi) the offset BSDE has zero
+    diffusion part, and psi obeys psi' = M2' M1^-1 B' psi - A' psi with
+    psi(T) = P(T)(0, xi); no stage needs P^-1. No stage of P reads psi, so
+    the P path is bit for bit that of solve_auxiliary_riccati.
+    """
+    def rhs(t, blocks):
+        psi = blocks["psi"]
+        s, M1_inv, M2, Pdot = _riccati_stage(aug, t, blocks["P"])
+        return {"P": Pdot, "psi": M2.mT @ (M1_inv @ (s.B.mT @ psi)) - s.A.mT @ psi}
+
+    psi_T = penalized_terminal(problem, i) @ np.concatenate([np.zeros(problem.n), problem.xi])
+    sol, paths = _riccati_paths(aug, problem, i, grid, (("psi", (aug.state_dim,)),), rhs,
+                                {"psi": psi_T})
+    return sol, paths["psi"]
 
 
 def _offset_drift(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.ndarray,
@@ -204,36 +236,6 @@ def _offset_drift(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.nda
     a stored path, which would cost two orders of accuracy).
     """
     return M2.mT @ (M1_inv @ (M3 @ phi)) - s.A.mT @ (P @ phi) - Pdot @ phi
-
-
-def solve_offset_tilde(aug: AugmentedLQ, sol: RiccatiSolution, xi: np.ndarray,
-                       grid: TimeGrid) -> MatrixPath:
-    """Backward offset path for the augmented problem, terminal (0, xi).
-
-    With a deterministic terminal offset the offset BSDE has zero diffusion
-    part and reduces to an ODE. The Riccati path is co-integrated from its
-    exact terminal so the offset drift sees stage-accurate values of P and
-    its algebraic derivative.
-    """
-    d, n, m = aug.state_dim, aug.problem.n, aug.problem.m
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-    if xi.shape != (m,):
-        raise DomainError(f"xi must have length {m}")
-    phi_T = np.concatenate([np.zeros(n), xi])
-
-    def rhs(t, blocks):
-        P, phi = blocks["P"], blocks["phi"]
-        s, M1_inv, M2, M3, Pdot = _riccati_stage(aug, t, P)
-        P_inv, _ = gated_inverse(P, "P_tilde")
-        return {"P": Pdot, "phi": P_inv @ _offset_drift(s, P, phi, M1_inv, M2, M3, Pdot)}
-
-    system = OdeSystem(
-        layout=(("P", (d, d)), ("phi", (d,))),
-        rhs=rhs,
-        terminal={"P": penalized_terminal(aug.problem, sol.i), "phi": phi_T},
-        symmetric=frozenset({"P"}),
-    )
-    return integrate_terminal(system, grid)["phi"]
 
 
 def m5_from_terms(s: AugSnapshot, P: np.ndarray, phi: np.ndarray, M1_inv: np.ndarray,

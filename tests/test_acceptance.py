@@ -144,9 +144,7 @@ def test_criterion_03_transform_equals_direct():
         aug = build_augmented(prob)
         for i in (1, 2, 4, 8):
             direct = integrate_direct(prob, i, g)
-            ric = solve_auxiliary_riccati(aug, prob, i, g)
-            offset = solve_offset_tilde(aug, ric, prob.xi, g)
-            tr = transform_from_riccati(ric, offset)
+            tr = transform_from_riccati(*solve_offset_tilde(aug, prob, i, g))
             for name in ("P1", "P2", "P3", "phi1", "phi2"):
                 dev = float(np.max(np.abs(getattr(direct, name).values
                                           - getattr(tr, name).values)))
@@ -267,8 +265,7 @@ def test_criterion_10_penalized_optimality():
     steps, paths = 1000, 20000
     grid = TimeGrid(1.0, steps)
     aug = build_augmented(prob)
-    ric = solve_auxiliary_riccati(aug, prob, i, grid)
-    offset = solve_offset_tilde(aug, ric, prob.xi, grid)
+    ric, psi = solve_offset_tilde(aug, prob, i, grid)
     cfg = SimConfig(steps=steps, paths=paths, base_seed=1001, store_paths=1)
     rng = np.random.Generator(np.random.Philox(key=1002))
     epsilons = (0.05, 0.1, 0.2)
@@ -277,7 +274,7 @@ def test_criterion_10_penalized_optimality():
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
         controls += [("perturbed", eps, d) for eps in epsilons]
-    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls,
+    base, *perturbed = simulate_penalized_forward(aug, ric, psi, controls,
                                                   prob, i, cfg)
     worst_neg = 0.0
     ratios = []
@@ -357,12 +354,11 @@ def test_criterion_13_reproducibility_and_stderr_scaling():
     i = 16
     grid = TimeGrid(1.0, 1000)
     aug = build_augmented(prob)
-    ric = solve_auxiliary_riccati(aug, prob, i, grid)
-    offset = solve_offset_tilde(aug, ric, prob.xi, grid)
+    ric, psi = solve_offset_tilde(aug, prob, i, grid)
     cfg = SimConfig(steps=1000, paths=5000, base_seed=778, store_paths=1)
-    [pen_a] = simulate_penalized_forward(aug, ric, offset, [("synthesized",)],
+    [pen_a] = simulate_penalized_forward(aug, ric, psi, [("synthesized",)],
                                          prob, i, cfg)
-    [pen_b] = simulate_penalized_forward(aug, ric, offset, [("synthesized",)],
+    [pen_b] = simulate_penalized_forward(aug, ric, psi, [("synthesized",)],
                                          prob, i, cfg)
     assert np.array_equal(pen_a.samples, pen_b.samples)
 

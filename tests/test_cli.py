@@ -170,6 +170,20 @@ def test_solve_riccati_writes_numeric_m1_trace(tmp_path):
     assert np.array_equal(rows[:, 1], ric.m1_min_eig)
 
 
+def test_solve_riccati_agrees_with_direct_when_stacked_weight_is_singular(tmp_path):
+    # G = F = 0 makes the stacked terminal weight singular; the offset pass
+    # carries psi = P phi~ and never inverts it
+    path = str(PROBLEMS / "backward_lq.yaml")
+    for method in ("riccati", "direct"):
+        code = run(tmp_path / method, "solve", path, "--method", method, "--schedule", "4",
+                   "--grid", "400")
+        assert code == 0, method
+    for name in ("P1", "P2", "P3", "phi1", "phi2"):
+        route, direct = (np.loadtxt(tmp_path / method / f"{name}.csv", delimiter=",",
+                                    skiprows=1) for method in ("riccati", "direct"))
+        assert np.max(np.abs(route - direct)) < 1e-6, name
+
+
 def test_condition_trace_matches_gain_family(tmp_path):
     path = PROBLEMS / "fully_coupled_example.yaml"
     code = run(tmp_path, "solve", str(path), "--method", "direct", "--schedule", "4",
@@ -276,7 +290,7 @@ def test_threads_option_rejected(tmp_path, command):
 
 @pytest.mark.parametrize("name,expected", [
     ("allzero_smoke", 0),
-    ("backward_lq", 3),                # P_tilde singular at t = T (G = F = 0)
+    ("backward_lq", 0),
     ("deterministic_coupled", 0),
     ("forward_lq", 0),
     ("fully_coupled_example", 0),

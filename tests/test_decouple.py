@@ -187,7 +187,7 @@ def test_transform_terminal_recovers_problem_data(grid1000):
     prob = make_fully_coupled()
     aug = build_augmented(prob)
     for i in (1, 8):
-        sol = transform_from_riccati(solve_auxiliary_riccati(aug, prob, i, grid1000))
+        sol = transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid1000))
         assert abs(sol.P1.terminal[0, 0] - prob.G[0, 0]) < 1e-12
         assert abs(sol.P2.terminal[0, 0] - prob.F[0, 0]) < 1e-12
         assert abs(sol.P3.terminal[0, 0] - 1.0 / i) < 1e-12
@@ -218,9 +218,8 @@ def test_transform_equals_direct_scalar(seed, grid1000):
     aug = build_augmented(prob)
     for i in (1, 4):
         direct = integrate_direct(prob, i, grid1000)
-        ric = solve_auxiliary_riccati(aug, prob, i, grid1000)
-        offset = solve_offset_tilde(aug, ric, prob.xi, grid1000)
-        gaps = solution_gap(direct, transform_from_riccati(ric, offset))
+        gaps = solution_gap(direct,
+                            transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid1000)))
         assert max(gaps.values()) < 1e-6, gaps
 
 
@@ -230,9 +229,7 @@ def test_transform_equals_direct_two_dim_forward():
     aug = build_augmented(prob)
     for i in (1, 8):
         direct = integrate_direct(prob, i, grid)
-        ric = solve_auxiliary_riccati(aug, prob, i, grid)
-        offset = solve_offset_tilde(aug, ric, prob.xi, grid)
-        gaps = solution_gap(direct, transform_from_riccati(ric, offset))
+        gaps = solution_gap(direct, transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid)))
         assert max(gaps.values()) < 1e-6, gaps
 
 
@@ -241,9 +238,8 @@ def test_transform_equals_direct_two_dim_backward():
     grid = TimeGrid(1.0, 800)
     aug = build_augmented(prob)
     direct = integrate_direct(prob, 4, grid)
-    ric = solve_auxiliary_riccati(aug, prob, 4, grid)
-    offset = solve_offset_tilde(aug, ric, prob.xi, grid)
-    gaps = solution_gap(direct, transform_from_riccati(ric, offset))
+    ric, psi = solve_offset_tilde(aug, prob, 4, grid)
+    gaps = solution_gap(direct, transform_from_riccati(ric, psi))
     assert max(gaps.values()) < 1e-6, gaps
 
 
@@ -465,9 +461,8 @@ def test_all_routes_agree_at_general_dimensions(dims):
     grid = TimeGrid(1.0, 400)
     aug = build_augmented(prob)
     direct = integrate_direct(prob, 4, grid)
-    ric = solve_auxiliary_riccati(aug, prob, 4, grid)
-    offset = solve_offset_tilde(aug, ric, prob.xi, grid)
-    gaps = solution_gap(direct, transform_from_riccati(ric, offset))
+    ric, psi = solve_offset_tilde(aug, prob, 4, grid)
+    gaps = solution_gap(direct, transform_from_riccati(ric, psi))
     assert max(gaps.values()) < 1e-8, gaps
     for t in (0.3, 0.7):
         rep = identity_suite(prob, direct, ric, t)

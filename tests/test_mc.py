@@ -31,7 +31,6 @@ from fblq.riccati import (
     build_augmented,
     m5_from_terms,
     m_coefficients,
-    solve_auxiliary_riccati,
     solve_offset_tilde,
 )
 from fblq.rng import brownian_increments, increment_block
@@ -151,9 +150,14 @@ def test_seed_reproducibility_and_chunk_invariance():
     grid = TimeGrid(prob.T, 1000)
     table = evaluate_gain_table(prob, sol, grid)
     sys_cl = closed_loop_coefficients(prob, sol, table=table)
-    cfg = SimConfig(steps=1000, paths=300, base_seed=11, store_paths=16, chunk=37)
-    batch_c = simulate_closed_loop(prob, sys_cl, cfg)
-    assert np.array_equal(batch_a.cost_samples, batch_c.cost_samples)
+    # chunks of 37 leave a tail of four paths at 300 and of one path at 38
+    for paths, store in ((300, 16), (38, 38)):
+        whole, batch_c = (simulate_closed_loop(prob, sys_cl, SimConfig(
+            steps=1000, paths=paths, base_seed=11, store_paths=store, chunk=chunk))
+            for chunk in (paths, 37))
+        assert np.array_equal(whole.cost_samples, batch_c.cost_samples), paths
+        for name in whole.trajectories:
+            assert np.array_equal(whole.trajectories[name], batch_c.trajectories[name])
 
 
 def test_streaming_cost_matches_recomputation():
@@ -269,10 +273,9 @@ def test_decoupling_residual_halves_with_step():
 def penalized_setup(prob, i, steps, seed, paths):
     grid = TimeGrid(prob.T, steps)
     aug = build_augmented(prob)
-    ric = solve_auxiliary_riccati(aug, prob, i, grid)
-    offset = solve_offset_tilde(aug, ric, prob.xi, grid)
+    ric, psi = solve_offset_tilde(aug, prob, i, grid)
     cfg = SimConfig(steps=steps, paths=paths, base_seed=seed, store_paths=1)
-    return aug, ric, offset, cfg
+    return aug, ric, psi, cfg
 
 
 def probe_controls(seed, dim):
@@ -310,10 +313,13 @@ def test_penalized_batch_equals_single_runs():
 
 def test_penalized_batch_is_chunk_invariant():
     # the piecewise 2x1x1 instance has a one-row F in the terminal penalty,
-    # whose product with X(T) must not depend on a column's position
-    for prob, chunk in ((make_partially_coupled(), 37), (piecewise_matrix_problem(), 5)):
+    # whose product with X(T) must not depend on a column's position; the
+    # single control with chunks of 299 leaves a tail block of one column
+    for prob, chunk, count in ((make_partially_coupled(), 37, 31),
+                               (piecewise_matrix_problem(), 5, 31),
+                               (make_partially_coupled(), 299, 1)):
         aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
-        controls = probe_controls(21, aug.control_dim)
+        controls = probe_controls(21, aug.control_dim)[:count]
         full = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
         chunked = simulate_penalized_forward(
             aug, ric, offset, controls, prob, 8,

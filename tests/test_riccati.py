@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_blq, make_smoke, make_tanh_lq, random_scalar_problem
+from conftest import (
+    make_blq,
+    make_smoke,
+    make_tanh_lq,
+    piecewise_matrix_problem,
+    random_scalar_problem,
+)
 from fblq.errors import ConstraintViolatedError
 from fblq.linalg import min_eig_sym
 from fblq.model import FBLQProblem
@@ -105,27 +111,34 @@ def test_m_coefficients_against_dense_products():
 def test_offset_vanishes_for_zero_terminal_offset(grid1000):
     prob = random_scalar_problem(7, xi_scale=0.0)
     aug = build_augmented(prob)
-    sol = solve_auxiliary_riccati(aug, prob, 2, grid1000)
-    offset = solve_offset_tilde(aug, sol, prob.xi, grid1000)
-    assert np.max(np.abs(offset.values)) == 0.0
+    _, psi = solve_offset_tilde(aug, prob, 2, grid1000)
+    assert np.max(np.abs(psi.values)) == 0.0
 
 
 def test_offset_self_convergence():
-    # backward-dominated instance; G > 0 keeps the stacked weight invertible,
-    # which the offset equation requires
-    prob = FBLQProblem.from_constants(
-        1, 1, 1, 1.0, B3=0.3, B4=0.5, C3=0.4, C4=0.6, D3=0.8, D4=1.0,
-        G=0.4, H=0.7, xi=1.0)
-    aug = build_augmented(prob)
-    coarse_grid = TimeGrid(1.0, 2000)
-    fine_grid = TimeGrid(1.0, 20000)
-    coarse = solve_offset_tilde(
-        aug, solve_auxiliary_riccati(aug, prob, 2, coarse_grid), prob.xi, coarse_grid)
-    fine = solve_offset_tilde(
-        aug, solve_auxiliary_riccati(aug, prob, 2, fine_grid), prob.xi, fine_grid)
-    dev = max(np.max(np.abs(coarse.value(t) - fine.value(t)))
-              for t in np.linspace(0.0, 1.0, 41))
-    assert dev < 1e-6
+    # backward-dominated instance; with G = 0 (and F = 0) the stacked weight
+    # is singular at T, which the offset psi = P phi~ does not need to invert
+    for G in (0.4, 0.0):
+        prob = FBLQProblem.from_constants(
+            1, 1, 1, 1.0, B3=0.3, B4=0.5, C3=0.4, C4=0.6, D3=0.8, D4=1.0,
+            G=G, H=0.7, xi=1.0)
+        aug = build_augmented(prob)
+        _, coarse = solve_offset_tilde(aug, prob, 2, TimeGrid(1.0, 2000))
+        _, fine = solve_offset_tilde(aug, prob, 2, TimeGrid(1.0, 20000))
+        dev = max(np.max(np.abs(coarse.value(t) - fine.value(t)))
+                  for t in np.linspace(0.0, 1.0, 41))
+        assert dev < 1e-6, G
+
+
+def test_offset_pass_carries_the_riccati_path_unchanged(grid1000):
+    # no stage of P reads psi, so carrying psi leaves the P path bit for bit
+    for prob, grid in ((random_scalar_problem(17), grid1000),
+                       (piecewise_matrix_problem(), TimeGrid(1.0, 200))):
+        aug = build_augmented(prob)
+        alone = solve_auxiliary_riccati(aug, prob, 4, grid)
+        ric, _ = solve_offset_tilde(aug, prob, 4, grid)
+        assert np.array_equal(ric.Ptilde.values, alone.Ptilde.values)
+        assert np.array_equal(ric.m1_min_eig, alone.m1_min_eig)
 
 
 def test_comparison_monotonicity(grid1000):

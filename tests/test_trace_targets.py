@@ -89,3 +89,25 @@ def test_traced_simulate_binds_arguments(tmp_path):
     assert attrs["rng.increment_block"] == {"key0": 20240801, "paths": 8, "steps": 20}
     assert attrs["feedback.gain_table"] == {"nodes": 21}
     assert "feedback.closed_loop" in attrs and "mc.stationarity" in attrs
+
+
+def test_traced_riccati_solve_integrates_once(tmp_path):
+    tracing = perfbench_module("tracing")
+    inputs = perfbench_module("inputs")
+    [record] = inputs.write_instances(11, [(2, 1, 1)], tmp_path, "trace",
+                                      load_problem, validate, LEVEL_STRICT)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_id = 0
+        code = cli.main(["solve", str(tmp_path / record["file"]), "--method", "riccati",
+                         "--schedule", "4", "--grid", "20", "--output-dir", str(tmp_path / "out")])
+        tracer.run_id = None
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    # the offset pass carries the Riccati flow: one integration, no separate solve
+    names = [s[0] for s in tracer.spans]
+    assert "riccati.solve" not in names
+    [ode] = [s for s in tracer.spans if s[0] == "odes.integrate_terminal"]
+    assert tracer.spans[ode[3]][0] == "riccati.offset"
