@@ -67,7 +67,7 @@ from .mc import (
 from .model import LEVELS, LEVEL_BOUNDED, LEVEL_STRICT, validate
 from .odes import DEFAULT_STEPS as DEFAULT_GRID, TimeGrid, path_to_csv, write_csv
 from .problem_io import load_problem
-from .riccati import build_augmented, solve_auxiliary_riccati, solve_offset_tilde
+from .riccati import solve_auxiliary_riccati, solve_offset_tilde
 from .special import (
     ReductionKind,
     is_reduction,
@@ -168,8 +168,7 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
     if method == "q":
         q = solve_q_equation(problem, grid)  # validates the strict level itself
         return None, {"q": q}
-    level = LEVEL_BOUNDED
-    report = validate(problem, level)
+    report = validate(problem, LEVEL_BOUNDED)
     if not report.passed:
         raise PreconditionError(
             "bounded-level validation failed: "
@@ -180,9 +179,7 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
     if method == "riccati":
         if schedule == EXACT:
             raise DomainError("--method riccati needs a finite penalization index")
-        i = int(schedule[0])
-        aug = build_augmented(problem)
-        ric, psi = solve_offset_tilde(aug, problem, i, grid)
+        ric, psi = solve_offset_tilde(problem, int(schedule[0]), grid)
         return transform_from_riccati(ric, psi), {"riccati": ric}
     if method == "limit":
         if schedule == EXACT:
@@ -271,8 +268,7 @@ def cmd_simulate(args) -> int:
     law = synthesize(problem, sol, table=table, xy_form=False)
     sys_cl = closed_loop_coefficients(problem, sol, table=table)
     batch = simulate_closed_loop(problem, sys_cl, cfg)
-    aug = build_augmented(problem)
-    cost = cost_identity_check(problem, aug, sol, batch)
+    cost = cost_identity_check(problem, sol, batch)
     stat_max, stat_mean = stationarity_residual(problem, batch)
     outdir = _outdir(args)
 
@@ -299,7 +295,7 @@ def cmd_simulate(args) -> int:
     if validate(problem, LEVEL_STRICT).passed:
         try:
             sol_i = integrate_direct(problem, 4, grid)
-            ric_i = solve_auxiliary_riccati(aug, problem, 4, grid)
+            ric_i = solve_auxiliary_riccati(problem, 4, grid)
             payload["identity_max_residual"] = max(
                 identity_suite(problem, sol_i, ric_i, float(t)).max_counted_residual
                 for t in np.linspace(0.0, problem.T, 5))
@@ -356,9 +352,8 @@ def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
     if not report.passed:
         raise PreconditionError("identities suite needs strictly positive control weights")
     i = 4
-    aug = build_augmented(problem)
     sol = integrate_direct(problem, i, grid)
-    ric = solve_auxiliary_riccati(aug, problem, i, grid)
+    ric = solve_auxiliary_riccati(problem, i, grid)
     worst = 0.0
     times = rng.uniform(0.0, problem.T, size=20)
     for t in times:
@@ -368,7 +363,8 @@ def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
                        worst <= 1e-8)]
 
 
-def _suite_monotone(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64)) -> list[SuiteCheck]:
+def _suite_monotone(problem, grid) -> list[SuiteCheck]:
+    schedule = (1, 2, 4, 8, 16, 32, 64)
     solve = direct_solver(problem, schedule, grid)
     P1 = np.stack([solve(i).P1.values for i in schedule])   # (iterate, node, n, n)
     P3 = np.stack([solve(i).P3.values for i in schedule])
@@ -419,16 +415,15 @@ def _suite_special(problem, grid) -> list[SuiteCheck]:
 
 def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
     i = 64
-    aug = build_augmented(problem)
-    ric, psi = solve_offset_tilde(aug, problem, i, grid)
+    ric, psi = solve_offset_tilde(problem, i, grid)
     rng = np.random.Generator(np.random.Philox(key=cfg.base_seed))
     epsilons = (0.05, 0.1, 0.2)
     controls = [("synthesized",)]
     for _ in range(10):
-        direction = rng.standard_normal(aug.control_dim)
+        direction = rng.standard_normal(problem.k + problem.m)
         direction /= np.linalg.norm(direction)
         controls += [("perturbed", eps, direction) for eps in epsilons]
-    base, *perturbed = simulate_penalized_forward(aug, ric, psi, controls, problem, i, cfg)
+    base, *perturbed = simulate_penalized_forward(ric, psi, controls, problem, i, cfg)
     worst_z = -np.inf
     ratio_checks = []
     for first in range(0, len(perturbed), len(epsilons)):
@@ -503,10 +498,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("problem", help="YAML problem file")
-        p.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                       help="uniform grid steps (default %(default)s)")
         p.add_argument("--output-dir", default=None,
                        help="output directory (default $FBLQ_OUTPUT_DIR or ./fblq_out)")
+
+    def gridded(p):   # every command but validate works on a grid
+        common(p)
+        p.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                       help="uniform grid steps (default %(default)s)")
 
     p = sub.add_parser("validate", help="check the standing assumptions")
     common(p)
@@ -514,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="compute decoupling blocks and offsets")
-    common(p)
+    gridded(p)
     p.add_argument("--method", choices=("direct", "riccati", "q", "limit"),
                    default="limit")
     p.add_argument("--schedule", default=",".join(str(i) for i in DEFAULT_SCHEDULE),
@@ -523,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="closed-loop Monte Carlo with cost report")
-    common(p)
+    gridded(p)
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--steps", type=int, default=4000)
     p.add_argument("--seed", type=int, default=20240801)
@@ -533,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run verification suites")
-    common(p)
+    gridded(p)
     p.add_argument("--suite", choices=("identities", "monotone", "rate", "special",
                                        "optimality", "all"), default="all")
     p.add_argument("--paths", type=int, default=4000)

@@ -21,7 +21,10 @@ routes together, which is how implementation slips in any of the three
 surface immediately.
 
 With a deterministic terminal offset the martingale parts of the offset
-equations vanish and every offset equation is an ODE.
+equations vanish and every offset equation is an ODE. The offsets come only
+from co-integration: integrate_direct carries them with the blocks at full
+RK4 order, and the transform route maps the offset that the Riccati pass
+carries (riccati.solve_offset_tilde).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .linalg import frozen, gated_inverse, min_eig_sym, node_inverse, sym
 from .model import COEFF_NAMES, LEVEL_STRICT, CoeffSnapshot, FBLQProblem, eval_coeffs, validate
 from .riccati import (
     RiccatiSolution,
-    build_augmented,
+    augmented,
     m5_from_terms,
     m_coefficients,
     solve_offset_tilde,
@@ -103,8 +106,7 @@ def _eye(d: int) -> np.ndarray:
     return out
 
 
-def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None,
-           n=None, m=None) -> GainCoefficients:
+def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None) -> GainCoefficients:
     """The gain family for (d, d) blocks or (B, d, d) stacks of them.
 
     Offsets are (d,) vectors next to single blocks and (B, d, 1) columns
@@ -112,9 +114,7 @@ def _gains(s: CoeffSnapshot, P1, P2, P3, phi1=None, phi2=None,
     snapshot holds single matrices or, from ``FBLQProblem.on_grid``, one
     matrix per member.
     """
-    n = P1.shape[-1] if n is None else n
-    m = P3.shape[-1] if m is None else m
-    I_n, I_m = _eye(n), _eye(m)
+    I_n, I_m = _eye(P1.shape[-1]), _eye(P3.shape[-1])
 
     L1 = I_m - P2 @ s.C2 + P3 @ s.C4
     L1_inv, cond1 = gated_inverse(L1, "L1")
@@ -167,7 +167,7 @@ def l_coefficients(problem: FBLQProblem, P1, P2, P3, phi1=None, phi2=None,
     if phi1 is not None:
         phi1 = np.asarray(phi1, dtype=float).reshape(-1)
         phi2 = np.asarray(phi2, dtype=float).reshape(-1)
-    return _gains(s, P1, P2, P3, phi1, phi2, n=problem.n, m=problem.m)
+    return _gains(s, P1, P2, P3, phi1, phi2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
         s = problem.snapshot(t)
         P1, P2, P3 = blocks["P1"], blocks["P2"], blocks["P3"]
         phi1, phi2 = blocks["phi1"], blocks["phi2"]
-        g = _gains(s, P1, P2, P3, phi1, phi2, n=n, m=m)
+        g = _gains(s, P1, P2, P3, phi1, phi2)
         dP1, dP2, dP3 = _p_rhs(s, P1, P2, P3, g)
         dphi1, dphi2 = _phi_rhs(s, P1, P2, P3, phi1, phi2, g)
         return {"P1": dP1, "P2": dP2, "P3": dP3, "phi1": dphi1, "phi2": dphi2}
@@ -445,7 +445,7 @@ def check_transpose_consistency(problem: FBLQProblem, grid: TimeGrid,
     def rhs(t, blocks):
         s = problem.snapshot(t)
         P1, P2, P3, Q = blocks["P1"], blocks["P2"], blocks["P3"], blocks["P2T"]
-        g = _gains(s, P1, P2, P3, n=n, m=m)
+        g = _gains(s, P1, P2, P3)
         dP1, dP2, dP3 = _p_rhs(s, P1, P2, P3, g)
         return {"P1": dP1, "P2": dP2, "P3": dP3,
                 "P2T": _p2t_rhs(s, P1, P3, Q, g)}
@@ -461,33 +461,6 @@ def check_transpose_consistency(problem: FBLQProblem, grid: TimeGrid,
     paths = integrate_terminal(system, grid)
     dev = paths["P2T"].values - paths["P2"].values.transpose(0, 2, 1)
     return float(np.max(np.abs(dev)))
-
-
-def solve_offsets(problem: FBLQProblem, P1: MatrixPath, P2: MatrixPath,
-                  P3: MatrixPath, xi, grid: TimeGrid):
-    """Offset pair (phi1, phi2) for frozen block paths, terminal (0, xi).
-
-    Block values at RK stage times come from linear interpolation of the
-    supplied paths, so accuracy is second order in the paths' grid spacing;
-    integrate_direct co-integrates the offsets at full order instead.
-    """
-    n, m = problem.n, problem.m
-    xi = np.asarray(xi, dtype=float).reshape(-1)
-
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
-        p1, p2, p3 = P1.value(t), P2.value(t), P3.value(t)
-        g = _gains(s, p1, p2, p3, blocks["phi1"], blocks["phi2"], n=n, m=m)
-        dphi1, dphi2 = _phi_rhs(s, p1, p2, p3, blocks["phi1"], blocks["phi2"], g)
-        return {"phi1": dphi1, "phi2": dphi2}
-
-    system = OdeSystem(
-        layout=(("phi1", (n,)), ("phi2", (m,))),
-        rhs=rhs,
-        terminal={"phi1": np.zeros(n), "phi2": xi},
-    )
-    paths = integrate_terminal(system, grid)
-    return paths["phi1"], paths["phi2"]
 
 
 # ---------------------------------------------------------------------------
@@ -590,24 +563,23 @@ def gain_condition_trace(problem: FBLQProblem, sol: DecoupledSolution,
     times = sol.grid.nodes[idx]
     try:
         g = _gains(problem.snapshot(times), sol.P1.values[idx], sol.P2.values[idx],
-                   sol.P3.values[idx], n=problem.n, m=problem.m)
+                   sol.P3.values[idx])
     except SingularCoefficientError as err:
         raise err.at_node(times) from None
     return np.column_stack([times, g.cond_L1, g.cond_L2, g.cond_L5])
 
 
-def fit_rate_exponent(indices, diffs, tail: bool = True) -> float | None:
+def fit_rate_exponent(indices, diffs) -> float | None:
     """Least-squares slope of log(diff) against log(i).
 
-    With ``tail`` the fit uses the trailing half of the points (at least
-    two); the leading penalization indices sit outside the asymptotic regime
-    and would bias the measured rate.
+    The fit uses the trailing half of the points (at least two); the leading
+    penalization indices sit outside the asymptotic regime and would bias
+    the measured rate.
     """
     pts = [(i, d) for i, d in zip(indices, diffs) if d > 0.0]
     if len(pts) < 2:
         return None
-    if tail:
-        pts = pts[max(len(pts) - max(len(pts) // 2, 2), 0):]
+    pts = pts[max(len(pts) - max(len(pts) // 2, 2), 0):]
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
@@ -651,12 +623,11 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     if method == "direct":
         solve_one = direct
     else:
-        aug = build_augmented(problem)
         cache: dict[int, DecoupledSolution] = {}
 
         def solve_one(i: int) -> DecoupledSolution:
             if i not in cache:
-                cache[i] = transform_from_riccati(*solve_offset_tilde(aug, problem, i, grid))
+                cache[i] = transform_from_riccati(*solve_offset_tilde(problem, i, grid))
             return cache[i]
 
     iterates: list[tuple[int, DecoupledSolution]] = []
@@ -858,9 +829,6 @@ class IdentityReport:
         vals = [e.residual for e in self.entries if e.counted]
         return max(vals) if vals else 0.0
 
-    def passed(self, tol: float = 1e-8) -> bool:
-        return self.max_counted_residual <= tol
-
     def entry(self, name: str) -> IdentityEntry:
         for e in self.entries:
             if e.name == name:
@@ -899,7 +867,7 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     P1, P2, P3, phi1, phi2 = sol_i.at_node(j)
     Pt = riccati_i.Ptilde.at_node(j)
     Pt1, Pt2, Pt3 = Pt[:n, :n], Pt[n:, :n], Pt[n:, n:]
-    g = _gains(s, P1, P2, P3, phi1, phi2, n=n, m=m)
+    g = _gains(s, P1, P2, P3, phi1, phi2)
     cb = s.C2.T @ Pt1 + Pt2                       # m x n
     D = s.C4 + cb @ s.C2 + s.C2.T @ Pt2.T + Pt3   # m x m
     D_inv, _ = gated_inverse(D, "D_blocks")
@@ -980,8 +948,7 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
             "block-gain/u-h-as-labeled", math.nan, counted=False,
             note="shape mismatch against the (n,n) state gain; skipped"))
 
-    aug = build_augmented(problem)
-    mc = m_coefficients(aug, Pt, t_node)
+    mc = m_coefficients(problem, Pt, t_node)
     M1_inv, _ = gated_inverse(mc.M1, "M1")
     lhs_gain = M1_inv @ mc.M2
     rhs_gain = -np.block([
@@ -1015,7 +982,7 @@ def identity_suite(problem: FBLQProblem, sol_i: DecoupledSolution,
     beta6 = g.L2_inv @ (P1 @ s.B2 + W @ g.L1_inv @ P2 @ s.B2)
     add("offset-gain/S2-beta", g.L2_inv @ g.S2, beta5 @ phi1 + beta6 @ phi2)
 
-    m5_direct = m5_from_terms(aug.snapshot(t_node), Pt, phit[:, np.newaxis], M1_inv,
+    m5_direct = m5_from_terms(augmented(problem, t_node), Pt, phit[:, np.newaxis], M1_inv,
                               mc.M2, mc.M3)
     dP1, _, dP3 = _p_rhs(s, P1, P2, P3, g)
     gamma1, gamma2 = (-x for x in _phi_rhs(s, P1, P2, P3, phi1, phi2, g))

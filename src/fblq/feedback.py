@@ -55,7 +55,7 @@ def evaluate_gain_table(problem: FBLQProblem, sol: DecoupledSolution,
     P1, P2, P3, phi1, phi2 = (path.on_grid(grid) for path in
                               (sol.P1, sol.P2, sol.P3, sol.phi1, sol.phi2))
     try:
-        g = _gains(problem.on_grid(grid), P1, P2, P3, phi1, phi2, n=problem.n, m=problem.m)
+        g = _gains(problem.on_grid(grid), P1, P2, P3, phi1, phi2)
     except SingularCoefficientError as err:
         raise err.at_node(grid.nodes) from None
     return GainTable(grid=grid, P1=P1, P2=P2, P3=P3, phi1=phi1[..., 0], phi2=phi2[..., 0],
@@ -68,8 +68,8 @@ class FeedbackLaw:
     """Time-indexed optimal gains in both coordinate forms.
 
     The (X, h)-form covers every node. The (X, Y)-form covers nodes
-    0..guard_node (times <= T - epsilon_guard) where P3 is required to be
-    invertible; its gains blow up like 1/P3 toward the horizon.
+    0..guard_node (two grid steps or more before T) where P3 is required
+    to be invertible; its gains blow up like 1/P3 toward the horizon.
     """
 
     grid: TimeGrid
@@ -79,27 +79,25 @@ class FeedbackLaw:
     xy_gain_X: np.ndarray   # (guard_node+1, k, n)
     xy_gain_Y: np.ndarray   # (guard_node+1, k, m)
     xy_offset: np.ndarray   # (guard_node+1, k)
-    epsilon_guard: float
     guard_node: int
 
 
 def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
-               epsilon_guard: float | None = None,
-               grid: TimeGrid | None = None,
                table: GainTable | None = None,
                xy_form: bool = True) -> FeedbackLaw:
     """Assemble the feedback law from a decoupled solution.
 
-    The (X, h)-form is always produced. With ``xy_form`` the (X, Y)-form is
-    additionally built on nodes with t <= T - epsilon_guard (default guard:
-    two grid steps) and requires P3 invertible there; a
-    SingularCoefficientError reports the earliest failing node otherwise.
+    The (X, h)-form is always produced, on the grid of ``table`` (default:
+    the solution's own). With ``xy_form`` the (X, Y)-form is additionally
+    built on nodes two grid steps or more before T and requires P3
+    invertible there; a SingularCoefficientError reports the earliest
+    failing node otherwise.
     Callers that only drive the closed loop can skip the (X, Y)-form, which
     does not exist at all when P3 vanishes identically.
     """
-    table = table or evaluate_gain_table(problem, sol, grid)
+    table = table or evaluate_gain_table(problem, sol)
     grid = table.grid
-    eps, guard_node = grid.guard_node(epsilon_guard)
+    _, guard_node = grid.guard_node()
     if not xy_form:
         guard_node = -1
     xy = slice(0, guard_node + 1)
@@ -110,7 +108,7 @@ def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
         xh_gain_X=table.L6, xh_gain_h=table.L7, xh_offset=table.S3,
         xy_gain_X=table.L6[xy] + L7P3 @ table.P2[xy], xy_gain_Y=-L7P3,
         xy_offset=(L7P3 @ table.phi2[xy, :, np.newaxis])[..., 0] + table.S3[xy],
-        epsilon_guard=eps, guard_node=guard_node,
+        guard_node=guard_node,
     )
 
 

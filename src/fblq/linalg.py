@@ -64,17 +64,17 @@ def _norm1(mat: np.ndarray) -> float:
     return float(np.abs(mat).sum(axis=0).max())
 
 
-def gated_inverse(mat: np.ndarray, name: str, gate: float = COND_GATE):
+def gated_inverse(mat: np.ndarray, name: str):
     """Invert ``mat``, raising SingularCoefficientError past the gate.
 
-    The gate compares the 1-norm condition estimate against ``gate``
-    (default 1e10). Dimensions one and two take closed-form fast paths;
+    The gate compares the 1-norm condition estimate against COND_GATE
+    (1e10). Dimensions one and two take closed-form fast paths;
     they dominate the integration hot loop. Returns (inverse, estimate).
     A (B, d, d) stack is gated per member and returns one estimate per
     member; the error names the inverse and the first failing member.
     """
     if mat.ndim == 3:
-        return _gated_inverse_stack(mat, name, gate)
+        return _gated_inverse_stack(mat, name)
     d = mat.shape[0]
     if d == 1:
         a = mat[0, 0]
@@ -93,12 +93,12 @@ def gated_inverse(mat: np.ndarray, name: str, gate: float = COND_GATE):
         except np.linalg.LinAlgError:
             raise SingularCoefficientError(name, cond=np.inf) from None
     cond = _norm1(mat) * _norm1(inv)
-    if not np.isfinite(cond) or cond > gate:
+    if not np.isfinite(cond) or cond > COND_GATE:
         raise SingularCoefficientError(name, cond=cond)
     return inv, cond
 
 
-def _gated_inverse_stack(mat: np.ndarray, name: str, gate: float):
+def _gated_inverse_stack(mat: np.ndarray, name: str):
     """gated_inverse on a (B, d, d) stack: the same closed forms, elementwise."""
     d = mat.shape[-1]
     if d == 1:
@@ -124,7 +124,7 @@ def _gated_inverse_stack(mat: np.ndarray, name: str, gate: float):
             raise
     # column-sum 1-norms, as _norm1 per member
     cond = np.abs(mat).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    _raise_first(name, ~(cond <= gate), cond)   # NaN fails the comparison
+    _raise_first(name, ~(cond <= COND_GATE), cond)   # NaN fails the comparison
     return inv, cond
 
 

@@ -12,7 +12,9 @@ any (u, Z) policy is simulatable forward; probing the original problem would
 require solving one coupled forward-backward system per candidate control.
 All probed controls run in one batch: they share one increment block per
 path chunk (common random numbers), one gain table and one Euler-Maruyama
-pass over every (control, path) column.
+pass over every (control, path) column. The stacked blocks come from
+riccati.augmented(problem, t); the offset psi from the Riccati pass that
+carries it (solve_offset_tilde).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .feedback import ClosedLoopSystem, initial_h
 from .linalg import gated_inverse, node_inverse
 from .model import COEFF_NAMES, FBLQProblem
 from .odes import MatrixPath, TimeGrid
-from .riccati import AugmentedLQ, RiccatiSolution, m5_from_terms, m_coefficients
+from .riccati import RiccatiSolution, augmented, m5_from_terms, m_coefficients
 from .rng import increment_block
 
 DEFAULT_CHUNK = 8192
@@ -222,12 +224,12 @@ def evaluate_cost(problem: FBLQProblem, batch: SimBatch, recompute: bool = False
     return CostReport(mean, stderr)
 
 
-def _offsets_vanish(sol: DecoupledSolution, tol: float = 1e-14) -> bool:
-    return (float(np.max(np.abs(sol.phi1.values))) <= tol
-            and float(np.max(np.abs(sol.phi2.values))) <= tol)
+def _offsets_vanish(sol: DecoupledSolution) -> bool:
+    return (float(np.max(np.abs(sol.phi1.values))) <= 1e-14
+            and float(np.max(np.abs(sol.phi2.values))) <= 1e-14)
 
 
-def _m5_on_nodes(aug: AugmentedLQ, sol: DecoupledSolution, grid: TimeGrid,
+def _m5_on_nodes(problem: FBLQProblem, sol: DecoupledSolution, grid: TimeGrid,
                  last: int) -> np.ndarray:
     """M5 at nodes 0..last of ``grid`` as one node stack: the interpolated
     blocks are mapped to the augmented (Ptilde, phitilde)."""
@@ -239,13 +241,13 @@ def _m5_on_nodes(aug: AugmentedLQ, sol: DecoupledSolution, grid: TimeGrid,
     Pt = np.block([[P1 + P2.mT @ P3_inv @ P2, -P2.mT @ P3_inv], [-P3_inv @ P2, P3_inv]])
     w = P1_inv @ phi1
     phit = np.concatenate([-w, phi2 - P2 @ w], axis=1)
-    mc = m_coefficients(aug, Pt, times)
+    mc = m_coefficients(problem, Pt, times)
     M1_inv, _ = node_inverse(mc.M1, "M1", times)
-    return m5_from_terms(aug.snapshot(times), Pt, phit, M1_inv, mc.M2, mc.M3)
+    return m5_from_terms(augmented(problem, times), Pt, phit, M1_inv, mc.M2, mc.M3)
 
 
-def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
-                        sol: DecoupledSolution, batch: SimBatch) -> CostReport:
+def cost_identity_check(problem: FBLQProblem, sol: DecoupledSolution,
+                        batch: SimBatch) -> CostReport:
     """Analytic optimal cost versus the Monte Carlo estimate.
 
     The analytic value is half the initial quadratic plus half the integral
@@ -275,7 +277,7 @@ def cost_identity_check(problem: FBLQProblem, aug: AugmentedLQ,
     if _offsets_vanish(sol) or last < 1:
         m5_vals = np.zeros(max(last + 1, 1))
     else:
-        m5_vals = _m5_on_nodes(aug, sol, grid, last)
+        m5_vals = _m5_on_nodes(problem, sol, grid, last)
     m5_integral = float(np.trapezoid(m5_vals, dx=grid.dt))
     truncation = float(abs(m5_vals[-1])) * (grid.T - float(grid.nodes[last]))
     analytic = 0.5 * r2 + 0.5 * m5_integral
@@ -360,8 +362,7 @@ def _perturbation(control, steps: int, dim: int) -> tuple[float, np.ndarray]:
     return eps, delta
 
 
-def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
-                               psi: MatrixPath, controls,
+def simulate_penalized_forward(riccati_i: RiccatiSolution, psi: MatrixPath, controls,
                                problem: FBLQProblem, i: int,
                                cfg: SimConfig) -> list[PenalizedCost]:
     """Forward simulation of the stacked state under a batch of (u, Z) policies.
@@ -386,9 +387,9 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     if riccati_i.i != i:
         raise DomainError("index mismatch between solve and request")
     grid = TimeGrid(problem.T, cfg.steps)
-    d = aug.state_dim
-    cdim = aug.control_dim
     n = problem.n
+    d = n + problem.m
+    cdim = problem.k + problem.m
     nc = len(controls)
     Pt = riccati_i.Ptilde.on_grid(grid)
     psi_grid = psi.on_grid(grid)
@@ -397,10 +398,10 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
         eps, delta = _perturbation(control, cfg.steps, cdim)
         pert[:, :, c, 0] = eps * delta
 
-    mc = m_coefficients(aug, Pt, grid.nodes)
+    mc = m_coefficients(problem, Pt, grid.nodes)
     M1_inv, _ = node_inverse(mc.M1, "M1", grid.nodes)
     gains = -M1_inv @ mc.M2
-    s = aug.on_grid(grid)
+    s = augmented(problem, grid.nodes)
     # per control: the feedback offset M1^-1 B' psi (= M1^-1 M3 phi~) plus its perturbation
     offs = (M1_inv @ (s.B.mT @ psi_grid))[:, :, np.newaxis] + pert
     dt = grid.dt
@@ -454,14 +455,13 @@ def simulate_penalized_forward(aug: AugmentedLQ, riccati_i: RiccatiSolution,
     return [PenalizedCost(*_mean_stderr(row), row) for row in samples]
 
 
-def penalized_gap_prediction(aug: AugmentedLQ, riccati_i: RiccatiSolution,
-                             eps: float, delta, cfg: SimConfig,
-                             problem: FBLQProblem) -> float:
+def penalized_gap_prediction(riccati_i: RiccatiSolution, eps: float, delta,
+                             cfg: SimConfig, problem: FBLQProblem) -> float:
     """Exact expected excess cost of a deterministic control perturbation:
     0.5 * eps^2 * integral of delta' M1 delta."""
     grid = TimeGrid(problem.T, cfg.steps)
     Pt = riccati_i.Ptilde.on_grid(grid)
-    _, delta_arr = _perturbation(("perturbed", eps, delta), cfg.steps, aug.control_dim)
-    M1 = m_coefficients(aug, Pt, grid.nodes).M1
+    _, delta_arr = _perturbation(("perturbed", eps, delta), cfg.steps, problem.k + problem.m)
+    M1 = m_coefficients(problem, Pt, grid.nodes).M1
     vals = (delta_arr[:, np.newaxis] @ M1 @ delta_arr[..., np.newaxis])[:, 0, 0]
     return 0.5 * eps * eps * float(np.trapezoid(vals, dx=grid.dt))

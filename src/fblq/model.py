@@ -117,19 +117,11 @@ class CoefficientFunction:
         return CoefficientFunction(self.breakpoints, np.stack([fn(v) for v in self.values]))
 
 
-def _symmetrize_if_close(cf: CoefficientFunction) -> CoefficientFunction:
-    """Symmetrize pieces that are within the declared symmetry tolerance.
-
-    Pieces beyond tolerance are kept as-is so validate() can report them.
-    """
-    def fix(v):
-        if asymmetry(v) <= SYMMETRY_TOL * (1.0 + max_abs(v)):
-            return 0.5 * (v + v.T)
-        return v
-    return cf.map_values(fix)
-
-
 def _symmetrize_matrix_if_close(mat: np.ndarray) -> np.ndarray:
+    """Symmetrize ``mat`` when it is within the declared symmetry tolerance.
+
+    A matrix beyond tolerance is kept as-is so validate() can report it.
+    """
     if asymmetry(mat) <= SYMMETRY_TOL * (1.0 + max_abs(mat)):
         return 0.5 * (mat + mat.T)
     return mat
@@ -200,7 +192,7 @@ class FBLQProblem:
             if cf.breakpoints[-1] >= self.T:
                 raise ValueError(f"{name}: breakpoints must lie in [0, T)")
             if name in SYMMETRIC_COEFFS:
-                object.__setattr__(self, name, _symmetrize_if_close(cf))
+                object.__setattr__(self, name, cf.map_values(_symmetrize_matrix_if_close))
         object.__setattr__(self, "F", frozen(as_matrix(self.F, (self.m, self.n))))
         object.__setattr__(
             self, "G", frozen(_symmetrize_matrix_if_close(as_matrix(self.G, (self.n, self.n))))
@@ -355,7 +347,7 @@ def _worst_piece(cf: CoefficientFunction, metric) -> tuple[float, float]:
     return worst, when
 
 
-def _symmetry_checks(problem: FBLQProblem, level: str) -> list[ValidationCheck]:
+def _symmetry_checks(problem: FBLQProblem) -> list[ValidationCheck]:
     checks = []
     for name in SYMMETRIC_COEFFS:
         cf = getattr(problem, name)
@@ -394,7 +386,7 @@ def validate(problem: FBLQProblem, level: str = LEVEL_POSITIVE) -> ValidationRep
     """
     if level not in LEVELS:
         raise DomainError(f"unknown validation level {level!r}")
-    checks = _symmetry_checks(problem, level)
+    checks = _symmetry_checks(problem)
     if level in (LEVEL_POSITIVE, LEVEL_STRICT):
         checks.append(_coeff_eig_check(LEVEL_POSITIVE, problem.A4, "A4", "positive semidefinite"))
         checks.append(_coeff_eig_check(LEVEL_POSITIVE, problem.B4, "B4", "positive semidefinite"))

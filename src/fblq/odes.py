@@ -61,12 +61,13 @@ class TimeGrid:
     def refined(self, factor: int) -> "TimeGrid":
         return TimeGrid(self.T, self.steps * factor)
 
-    def aligns_with(self, times: np.ndarray, tol: float = 1e-12) -> bool:
-        """True when every time in ``times`` falls on a node (within tol)."""
+    def aligns_with(self, times: np.ndarray) -> bool:
+        """True when every time in ``times`` falls on a node (within 1e-12
+        relative to max(1, T))."""
         if len(times) == 0:
             return True
         j = np.rint(np.asarray(times) / self.dt)
-        return bool(np.all(np.abs(np.asarray(times) - j * self.dt) <= tol * max(1.0, self.T)))
+        return bool(np.all(np.abs(np.asarray(times) - j * self.dt) <= 1e-12 * max(1.0, self.T)))
 
 
 @dataclass(frozen=True)

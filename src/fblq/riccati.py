@@ -17,7 +17,8 @@ psi(T) = P(T)(0, xi): the P' phi~ terms cancel, so psi rides along in the
 Riccati pass and no stage inverts P, which is singular at T when G = F = 0.
 The transform then reads phi1 = -psi1 - P2' psi2 and phi2 = P3 psi2.
 
-The augmented blocks are built once per coefficient piece (FBLQProblem.derived);
+The augmented blocks are a view of the problem, reached only through
+augmented(problem, t) and built once per coefficient piece (FBLQProblem.derived);
 the completion-of-squares terms take single matrices or node stacks alike.
 """
 
@@ -48,28 +49,13 @@ class AugSnapshot:
     R: np.ndarray   # (k+m, k+m) control weight
 
 
-@dataclass(frozen=True)
-class AugmentedLQ:
-    """Augmented problem data; its snapshots are built once per coefficient
-    piece of the problem and shared by every AugmentedLQ of that problem."""
+def augmented(problem: FBLQProblem, t) -> AugSnapshot:
+    """Augmented blocks at ``t``; an array of times stacks one matrix per time.
 
-    problem: FBLQProblem
-
-    @property
-    def state_dim(self) -> int:
-        return self.problem.n + self.problem.m
-
-    @property
-    def control_dim(self) -> int:
-        return self.problem.k + self.problem.m
-
-    def snapshot(self, t) -> AugSnapshot:
-        """Blocks at ``t``; an array of times stacks one matrix per time."""
-        return self.problem.derived(_assemble, t)
-
-    def on_grid(self, grid: TimeGrid) -> AugSnapshot:
-        """Blocks stacked over the nodes of ``grid``: (steps+1, r, c) each."""
-        return self.snapshot(grid.nodes)
+    The blocks are assembled once per coefficient piece of the problem and
+    shared by every later call on that piece.
+    """
+    return problem.derived(_assemble, t)
 
 
 def _assemble(s) -> AugSnapshot:
@@ -81,11 +67,6 @@ def _assemble(s) -> AugSnapshot:
     Q = np.block([[s.A4, np.zeros((n, m))], [np.zeros((m, n)), s.B4]])
     R = np.block([[s.D4, np.zeros((k, m))], [np.zeros((m, k)), s.C4]])
     return AugSnapshot(*(frozen(x) for x in (A, B, C, D, Q, R)))
-
-
-def build_augmented(problem: FBLQProblem) -> AugmentedLQ:
-    """Stacked-state/stacked-control reformulation of the problem."""
-    return AugmentedLQ(problem)
 
 
 @dataclass(frozen=True)
@@ -111,10 +92,10 @@ def _m_terms(s: AugSnapshot, P: np.ndarray):
     return sym(s.R + DtP @ s.D), M3 + DtP @ s.C, M3, DtP
 
 
-def m_coefficients(aug: AugmentedLQ, Ptilde_at_t: np.ndarray, t) -> MCoefficients:
+def m_coefficients(problem: FBLQProblem, Ptilde_at_t: np.ndarray, t) -> MCoefficients:
     """M1 = R + D'PD (symmetrized), M2 = B'P + D'PC, M3 = B'P, M4 = D'P; with
     an array of times ``t`` and one P per time, every field is a node stack."""
-    return MCoefficients(*_m_terms(aug.snapshot(t), np.asarray(Ptilde_at_t, dtype=float)))
+    return MCoefficients(*_m_terms(augmented(problem, t), np.asarray(Ptilde_at_t, dtype=float)))
 
 
 def penalized_terminal(problem: FBLQProblem, i: int) -> np.ndarray:
@@ -129,13 +110,13 @@ def _pdot(s: AugSnapshot, P: np.ndarray, M1_inv: np.ndarray, M2: np.ndarray) -> 
     return -(P @ s.A + s.A.mT @ P + s.C.mT @ P @ s.C + s.Q - M2.mT @ M1_inv @ M2)
 
 
-def _riccati_stage(aug: AugmentedLQ, t: float, P: np.ndarray):
+def _riccati_stage(problem: FBLQProblem, t: float, P: np.ndarray):
     """(snapshot, M1^-1, M2, Pdot) at one stage of the Riccati flow.
 
     The M1 side condition is checked before M1 is inverted, so a vanishing
     margin is reported as ConstraintViolatedError, not as a singular M1.
     """
-    s = aug.snapshot(t)
+    s = augmented(problem, t)
     M1, M2, _, _ = _m_terms(s, P)
     low = min_eig_sym(M1)
     if low < M1_MARGIN:
@@ -172,40 +153,38 @@ class RiccatiSolution:
         return P1t, P2t, P3t
 
 
-def _riccati_paths(aug: AugmentedLQ, problem: FBLQProblem, i: int, grid: TimeGrid,
-                   layout, rhs, terminal):
+def _riccati_paths(problem: FBLQProblem, i: int, grid: TimeGrid, layout, rhs, terminal):
     """Integrate a system whose block "P" is the penalized Riccati flow for
     index ``i``, next to the extra blocks of ``layout``; returns
     (RiccatiSolution, every path by block name)."""
     if i < 1:
         raise DomainError("penalization index i must be >= 1")
     system = OdeSystem(
-        layout=(("P", (aug.state_dim,) * 2), *layout),
+        layout=(("P", (problem.n + problem.m,) * 2), *layout),
         rhs=rhs,
         terminal={"P": penalized_terminal(problem, i), **terminal},
         symmetric=frozenset({"P"}),
     )
     paths = integrate_terminal(system, grid)
     P = paths["P"]
-    M1 = _m_terms(aug.on_grid(grid), P.values)[0]
+    M1 = _m_terms(augmented(problem, grid.nodes), P.values)[0]
     sol = RiccatiSolution(i=i, Ptilde=P, m1_min_eig=frozen(min_eig_sym(M1)),
                           n=problem.n, m=problem.m)
     return sol, paths
 
 
-def solve_auxiliary_riccati(aug: AugmentedLQ, problem: FBLQProblem, i: int,
-                            grid: TimeGrid) -> RiccatiSolution:
+def solve_auxiliary_riccati(problem: FBLQProblem, i: int, grid: TimeGrid) -> RiccatiSolution:
     """Integrate the penalized Riccati equation backward for index ``i``.
 
     Raises ConstraintViolatedError the first time min-eig(M1) < M1_MARGIN
     (this includes the terminal time itself) and DivergedError on blow-up.
     """
-    return _riccati_paths(aug, problem, i, grid, (),
-                          lambda t, blocks: {"P": _riccati_stage(aug, t, blocks["P"])[3]},
+    return _riccati_paths(problem, i, grid, (),
+                          lambda t, blocks: {"P": _riccati_stage(problem, t, blocks["P"])[3]},
                           {})[0]
 
 
-def solve_offset_tilde(aug: AugmentedLQ, problem: FBLQProblem, i: int,
+def solve_offset_tilde(problem: FBLQProblem, i: int,
                        grid: TimeGrid) -> tuple[RiccatiSolution, MatrixPath]:
     """The Riccati solve for index ``i`` with the offset carried along:
     returns (RiccatiSolution, path of psi = P phi~).
@@ -217,11 +196,11 @@ def solve_offset_tilde(aug: AugmentedLQ, problem: FBLQProblem, i: int,
     """
     def rhs(t, blocks):
         psi = blocks["psi"]
-        s, M1_inv, M2, Pdot = _riccati_stage(aug, t, blocks["P"])
+        s, M1_inv, M2, Pdot = _riccati_stage(problem, t, blocks["P"])
         return {"P": Pdot, "psi": M2.mT @ (M1_inv @ (s.B.mT @ psi)) - s.A.mT @ psi}
 
     psi_T = penalized_terminal(problem, i) @ np.concatenate([np.zeros(problem.n), problem.xi])
-    sol, paths = _riccati_paths(aug, problem, i, grid, (("psi", (aug.state_dim,)),), rhs,
+    sol, paths = _riccati_paths(problem, i, grid, (("psi", (problem.n + problem.m,)),), rhs,
                                 {"psi": psi_T})
     return sol, paths["psi"]
 

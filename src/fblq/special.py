@@ -40,15 +40,14 @@ _ZERO_PATTERNS = {
 }
 
 
-def matches_pattern(problem: FBLQProblem, kind: ReductionKind,
-                    tol: float = PATTERN_TOL) -> bool:
+def matches_pattern(problem: FBLQProblem, kind: ReductionKind) -> bool:
     coeffs, constants = _ZERO_PATTERNS[kind]
-    ok = all(getattr(problem, c).is_zero(tol) for c in coeffs)
-    return ok and all(float(np.max(np.abs(getattr(problem, c)))) <= tol
+    ok = all(getattr(problem, c).is_zero(PATTERN_TOL) for c in coeffs)
+    return ok and all(float(np.max(np.abs(getattr(problem, c)))) <= PATTERN_TOL
                       for c in constants)
 
 
-def is_reduction(problem: FBLQProblem, tol: float = PATTERN_TOL) -> ReductionKind | None:
+def is_reduction(problem: FBLQProblem) -> ReductionKind | None:
     """Detect which degenerate family the instance belongs to, if any.
 
     Patterns may overlap (a problem with no diffusion and no backward block
@@ -58,7 +57,7 @@ def is_reduction(problem: FBLQProblem, tol: float = PATTERN_TOL) -> ReductionKin
     own pattern regardless of what is reported first.
     """
     for kind in _ZERO_PATTERNS:
-        if matches_pattern(problem, kind, tol):
+        if matches_pattern(problem, kind):
             return kind
     return None
 

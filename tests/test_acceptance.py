@@ -57,7 +57,7 @@ from fblq.mc import (
 )
 from fblq.model import LEVEL_STRICT, validate
 from fblq.odes import TimeGrid
-from fblq.riccati import build_augmented, solve_auxiliary_riccati, solve_offset_tilde
+from fblq.riccati import solve_auxiliary_riccati, solve_offset_tilde
 from fblq.special import (
     solve_blq_reference,
     solve_deterministic_fblq_reference,
@@ -141,10 +141,9 @@ def test_criterion_03_transform_equals_direct():
     instances.append(("2x1x1", make_n2_problem(), grid_n2))
     for tag, prob, g in instances:
         assert validate(prob, LEVEL_STRICT).passed, tag
-        aug = build_augmented(prob)
         for i in (1, 2, 4, 8):
             direct = integrate_direct(prob, i, g)
-            tr = transform_from_riccati(*solve_offset_tilde(aug, prob, i, g))
+            tr = transform_from_riccati(*solve_offset_tilde(prob, i, g))
             for name in ("P1", "P2", "P3", "phi1", "phi2"):
                 dev = float(np.max(np.abs(getattr(direct, name).values
                                           - getattr(tr, name).values)))
@@ -187,9 +186,8 @@ def test_criterion_06_identity_suite_random_instances():
     for seed in IDENTITY_SEEDS:
         prob = random_scalar_problem(seed)
         assert validate(prob, LEVEL_STRICT).passed
-        aug = build_augmented(prob)
         sol = integrate_direct(prob, 2, grid)
-        ric = solve_auxiliary_riccati(aug, prob, 2, grid)
+        ric = solve_auxiliary_riccati(prob, 2, grid)
         for t in rng.uniform(0.0, 1.0, size=20):
             rep = identity_suite(prob, sol, ric, float(t))
             worst = max(worst, rep.max_counted_residual)
@@ -227,7 +225,7 @@ def test_criterion_08_cost_identity(label, factory, seed):
     prob = factory()
     start = time.perf_counter()
     sol, batch = mc_pipeline(prob, 2000, 4000, paths=100000, seed=seed)
-    rep = cost_identity_check(prob, build_augmented(prob), sol, batch)
+    rep = cost_identity_check(prob, sol, batch)
     elapsed = time.perf_counter() - start
     assert rep.agreement_z is not None and rep.agreement_z <= 3.0, rep
     assert elapsed < 120.0, f"runtime {elapsed:.0f}s"
@@ -264,8 +262,7 @@ def test_criterion_10_penalized_optimality():
     i = 64
     steps, paths = 1000, 20000
     grid = TimeGrid(1.0, steps)
-    aug = build_augmented(prob)
-    ric, psi = solve_offset_tilde(aug, prob, i, grid)
+    ric, psi = solve_offset_tilde(prob, i, grid)
     cfg = SimConfig(steps=steps, paths=paths, base_seed=1001, store_paths=1)
     rng = np.random.Generator(np.random.Philox(key=1002))
     epsilons = (0.05, 0.1, 0.2)
@@ -274,7 +271,7 @@ def test_criterion_10_penalized_optimality():
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
         controls += [("perturbed", eps, d) for eps in epsilons]
-    base, *perturbed = simulate_penalized_forward(aug, ric, psi, controls,
+    base, *perturbed = simulate_penalized_forward(ric, psi, controls,
                                                   prob, i, cfg)
     worst_neg = 0.0
     ratios = []
@@ -353,12 +350,11 @@ def test_criterion_13_reproducibility_and_stderr_scaling():
 
     i = 16
     grid = TimeGrid(1.0, 1000)
-    aug = build_augmented(prob)
-    ric, psi = solve_offset_tilde(aug, prob, i, grid)
+    ric, psi = solve_offset_tilde(prob, i, grid)
     cfg = SimConfig(steps=1000, paths=5000, base_seed=778, store_paths=1)
-    [pen_a] = simulate_penalized_forward(aug, ric, psi, [("synthesized",)],
+    [pen_a] = simulate_penalized_forward(ric, psi, [("synthesized",)],
                                          prob, i, cfg)
-    [pen_b] = simulate_penalized_forward(aug, ric, psi, [("synthesized",)],
+    [pen_b] = simulate_penalized_forward(ric, psi, [("synthesized",)],
                                          prob, i, cfg)
     assert np.array_equal(pen_a.samples, pen_b.samples)
 

@@ -25,7 +25,7 @@ from fblq.errors import DivergedError, SingularCoefficientError
 from fblq.linalg import gated_inverse, node_inverse, sym
 from fblq.model import CoefficientFunction
 from fblq.odes import OdeSystem, TimeGrid, integrate_terminal
-from fblq.riccati import build_augmented, solve_auxiliary_riccati
+from fblq.riccati import solve_auxiliary_riccati
 
 BLOCKS = ("P1", "P2", "P3", "phi1", "phi2")
 GRID = TimeGrid(1.0, 40)
@@ -219,7 +219,7 @@ def test_identity_suite_inverts_m1_once(monkeypatch):
     prob = random_matrix_problem(4101, 2, 1, 1)
     grid = TimeGrid(1.0, 200)
     sol = integrate_direct(prob, 4, grid)
-    ric = solve_auxiliary_riccati(build_augmented(prob), prob, 4, grid)
+    ric = solve_auxiliary_riccati(prob, 4, grid)
     names = []
     for module in (decouple, riccati):
         real = module.gated_inverse

@@ -12,7 +12,7 @@ from fblq.errors import ParseError
 from fblq.model import CoefficientFunction
 from fblq.odes import TimeGrid
 from fblq.problem_io import load_problem, problem_from_dict
-from fblq.riccati import build_augmented, solve_auxiliary_riccati
+from fblq.riccati import solve_auxiliary_riccati
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -163,7 +163,7 @@ def test_solve_riccati_writes_numeric_m1_trace(tmp_path):
     rows = np.loadtxt(tmp_path / "m1_min_eig.csv", delimiter=",", skiprows=1)
     prob = load_problem(path)
     grid = TimeGrid(prob.T, 100)
-    ric = solve_auxiliary_riccati(build_augmented(prob), prob, 4, grid)
+    ric = solve_auxiliary_riccati(prob, 4, grid)
     assert rows.shape == (grid.steps + 1, 2)
     assert np.all(np.isfinite(rows))
     assert np.array_equal(rows[:, 0], grid.nodes)
@@ -285,6 +285,13 @@ def test_verify_all_suites_end_to_end(tmp_path):
 def test_threads_option_rejected(tmp_path, command):
     with pytest.raises(SystemExit) as err:
         run(tmp_path, command, str(PROBLEMS / "allzero_smoke.yaml"), "--threads", "2")
+    assert err.value.code == 2
+
+
+def test_validate_rejects_grid_option(tmp_path):
+    # validate works on the problem alone, so --grid is not one of its options
+    with pytest.raises(SystemExit) as err:
+        run(tmp_path, "validate", str(PROBLEMS / "allzero_smoke.yaml"), "--grid", "5")
     assert err.value.code == 2
 
 

@@ -22,7 +22,6 @@ from fblq.decouple import (
     integrate_direct,
     iterate_limit,
     l_coefficients,
-    solve_offsets,
     solve_q_equation,
     transform_from_riccati,
 )
@@ -30,7 +29,7 @@ from fblq.errors import DomainError, PreconditionError, SingularCoefficientError
 from fblq.linalg import min_eig_sym
 from fblq.model import FBLQProblem
 from fblq.odes import TimeGrid
-from fblq.riccati import build_augmented, solve_auxiliary_riccati, solve_offset_tilde
+from fblq.riccati import solve_auxiliary_riccati, solve_offset_tilde
 from fblq.special import solve_blq_reference
 
 
@@ -122,7 +121,7 @@ def test_scalar_fast_path_matches_generic_blocks(grid1000):
     def rhs(t, blocks):
         s = prob.snapshot(t)
         g = _gains(s, blocks["P1"], blocks["P2"], blocks["P3"],
-                   blocks["phi1"], blocks["phi2"], n=1, m=1)
+                   blocks["phi1"], blocks["phi2"])
         dP1, dP2, dP3 = _p_rhs(s, blocks["P1"], blocks["P2"], blocks["P3"], g)
         dphi1, dphi2 = _phi_rhs(s, blocks["P1"], blocks["P2"], blocks["P3"],
                                 blocks["phi1"], blocks["phi2"], g)
@@ -173,8 +172,7 @@ def test_direct_rejects_bad_index(grid1000):
 
 def test_transform_diagonal_example(grid1000):
     prob = make_partially_coupled()
-    aug = build_augmented(prob)
-    ric = solve_auxiliary_riccati(aug, prob, 2, grid1000)
+    ric = solve_auxiliary_riccati(prob, 2, grid1000)
     # overwrite has no public hook; check the pure node algebra instead
     from fblq.decouple import transform_from_riccati as tr
     Pt = np.array([[2.0, 0.0], [0.0, 4.0]])
@@ -185,9 +183,8 @@ def test_transform_diagonal_example(grid1000):
 
 def test_transform_terminal_recovers_problem_data(grid1000):
     prob = make_fully_coupled()
-    aug = build_augmented(prob)
     for i in (1, 8):
-        sol = transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid1000))
+        sol = transform_from_riccati(*solve_offset_tilde(prob, i, grid1000))
         assert abs(sol.P1.terminal[0, 0] - prob.G[0, 0]) < 1e-12
         assert abs(sol.P2.terminal[0, 0] - prob.F[0, 0]) < 1e-12
         assert abs(sol.P3.terminal[0, 0] - 1.0 / i) < 1e-12
@@ -215,77 +212,58 @@ def test_transform_round_trip_random_spd():
 @pytest.mark.parametrize("seed", [41, 42, 43])
 def test_transform_equals_direct_scalar(seed, grid1000):
     prob = random_scalar_problem(seed)
-    aug = build_augmented(prob)
     for i in (1, 4):
         direct = integrate_direct(prob, i, grid1000)
         gaps = solution_gap(direct,
-                            transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid1000)))
+                            transform_from_riccati(*solve_offset_tilde(prob, i, grid1000)))
         assert max(gaps.values()) < 1e-6, gaps
 
 
 def test_transform_equals_direct_two_dim_forward():
     prob = make_n2_problem()
     grid = TimeGrid(1.0, 800)
-    aug = build_augmented(prob)
     for i in (1, 8):
         direct = integrate_direct(prob, i, grid)
-        gaps = solution_gap(direct, transform_from_riccati(*solve_offset_tilde(aug, prob, i, grid)))
+        gaps = solution_gap(direct, transform_from_riccati(*solve_offset_tilde(prob, i, grid)))
         assert max(gaps.values()) < 1e-6, gaps
 
 
 def test_transform_equals_direct_two_dim_backward():
     prob = make_m2_problem()
     grid = TimeGrid(1.0, 800)
-    aug = build_augmented(prob)
     direct = integrate_direct(prob, 4, grid)
-    ric, psi = solve_offset_tilde(aug, prob, 4, grid)
+    ric, psi = solve_offset_tilde(prob, 4, grid)
     gaps = solution_gap(direct, transform_from_riccati(ric, psi))
     assert max(gaps.values()) < 1e-6, gaps
 
 
 # ---------------------------------------------------------------------------
-# offsets for frozen block paths
+# offsets co-integrated with the blocks
 # ---------------------------------------------------------------------------
 
 def test_offsets_zero_terminal(grid1000):
     prob = make_fully_coupled(xi=0.0)
     sol = integrate_direct(prob, EXACT, grid1000)
-    phi1, phi2 = solve_offsets(prob, sol.P1, sol.P2, sol.P3, prob.xi, grid1000)
-    assert np.max(np.abs(phi1.values)) == 0.0
-    assert np.max(np.abs(phi2.values)) == 0.0
+    assert np.max(np.abs(sol.phi1.values)) == 0.0
+    assert np.max(np.abs(sol.phi2.values)) == 0.0
 
 
 def test_offsets_constant_when_drift_vanishes(grid1000):
     prob = FBLQProblem.from_constants(
         1, 1, 1, 1.0, D2=0.5, D4=1.0, C4=0.8, G=1.0, F=0.4, xi=0.7)
     sol = integrate_direct(prob, EXACT, grid1000)
-    phi1, phi2 = solve_offsets(prob, sol.P1, sol.P2, sol.P3, prob.xi, grid1000)
-    assert np.max(np.abs(phi1.values)) == 0.0
-    assert np.max(np.abs(phi2.values - 0.7)) == 0.0
+    assert np.max(np.abs(sol.phi1.values)) == 0.0
+    assert np.max(np.abs(sol.phi2.values - 0.7)) == 0.0
 
 
 def test_offsets_fine_grid_convergence():
     prob = make_fully_coupled(xi=1.0)
-    coarse = TimeGrid(1.0, 2000)
-    fine = TimeGrid(1.0, 20000)
-    sol_c = integrate_direct(prob, EXACT, coarse)
-    sol_f = integrate_direct(prob, EXACT, fine)
-    p1c, p2c = solve_offsets(prob, sol_c.P1, sol_c.P2, sol_c.P3, prob.xi, coarse)
-    p1f, p2f = solve_offsets(prob, sol_f.P1, sol_f.P2, sol_f.P3, prob.xi, fine)
-    dev = max(np.max(np.abs(p1c.value(t) - p1f.value(t)))
-              + np.max(np.abs(p2c.value(t) - p2f.value(t)))
+    sol_c = integrate_direct(prob, EXACT, TimeGrid(1.0, 2000))
+    sol_f = integrate_direct(prob, EXACT, TimeGrid(1.0, 20000))
+    dev = max(np.max(np.abs(sol_c.phi1.value(t) - sol_f.phi1.value(t)))
+              + np.max(np.abs(sol_c.phi2.value(t) - sol_f.phi2.value(t)))
               for t in np.linspace(0.0, 1.0, 21))
     assert dev < 1e-6
-
-
-def test_offsets_match_cointegrated(grid1000):
-    # the separate offset solve must agree with what integrate_direct
-    # co-integrates, up to the interpolation order of the frozen paths
-    prob = make_fully_coupled(xi=0.5)
-    sol = integrate_direct(prob, EXACT, grid1000)
-    phi1, phi2 = solve_offsets(prob, sol.P1, sol.P2, sol.P3, prob.xi, grid1000)
-    assert np.max(np.abs(phi1.values - sol.phi1.values)) < 1e-7
-    assert np.max(np.abs(phi2.values - sol.phi2.values)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +404,8 @@ def test_transpose_consistency_matrix_dims():
 
 def test_identity_suite_random_scalar(grid1000):
     prob = random_scalar_problem(51)
-    aug = build_augmented(prob)
     sol = integrate_direct(prob, 2, grid1000)
-    ric = solve_auxiliary_riccati(aug, prob, 2, grid1000)
+    ric = solve_auxiliary_riccati(prob, 2, grid1000)
     for t in (0.1, 0.55, 0.93):
         rep = identity_suite(prob, sol, ric, t)
         assert rep.max_counted_residual < 1e-10
@@ -440,7 +417,7 @@ def test_identity_suite_random_scalar(grid1000):
 def test_identity_suite_partially_coupled_midpoint(grid1000):
     prob = make_partially_coupled()
     sol = integrate_direct(prob, 4, grid1000)
-    ric = solve_auxiliary_riccati(build_augmented(prob), prob, 4, grid1000)
+    ric = solve_auxiliary_riccati(prob, 4, grid1000)
     rep = identity_suite(prob, sol, ric, 0.5)
     assert rep.max_counted_residual < 1e-8
 
@@ -449,7 +426,7 @@ def test_identity_suite_matrix_dims():
     grid = TimeGrid(1.0, 400)
     for prob in (make_n2_problem(), make_m2_problem()):
         sol = integrate_direct(prob, 2, grid)
-        ric = solve_auxiliary_riccati(build_augmented(prob), prob, 2, grid)
+        ric = solve_auxiliary_riccati(prob, 2, grid)
         rep = identity_suite(prob, sol, ric, 0.4)
         assert rep.max_counted_residual < 1e-9
 
@@ -459,9 +436,8 @@ def test_all_routes_agree_at_general_dimensions(dims):
     n, m, k = dims
     prob = random_matrix_problem(7000 + 100 * n + 10 * m + k, n, m, k)
     grid = TimeGrid(1.0, 400)
-    aug = build_augmented(prob)
     direct = integrate_direct(prob, 4, grid)
-    ric, psi = solve_offset_tilde(aug, prob, 4, grid)
+    ric, psi = solve_offset_tilde(prob, 4, grid)
     gaps = solution_gap(direct, transform_from_riccati(ric, psi))
     assert max(gaps.values()) < 1e-8, gaps
     for t in (0.3, 0.7):
@@ -473,6 +449,6 @@ def test_all_routes_agree_at_general_dimensions(dims):
 def test_identity_suite_rejects_mismatched_indices(grid1000):
     prob = random_scalar_problem(52)
     sol = integrate_direct(prob, 2, grid1000)
-    ric = solve_auxiliary_riccati(build_augmented(prob), prob, 4, grid1000)
+    ric = solve_auxiliary_riccati(prob, 4, grid1000)
     with pytest.raises(DomainError):
         identity_suite(prob, sol, ric, 0.5)

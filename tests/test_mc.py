@@ -28,7 +28,7 @@ from fblq.mc import (
 from fblq.model import FBLQProblem
 from fblq.odes import TimeGrid
 from fblq.riccati import (
-    build_augmented,
+    augmented,
     m5_from_terms,
     m_coefficients,
     solve_offset_tilde,
@@ -174,7 +174,7 @@ def test_streaming_cost_matches_recomputation():
 def test_cost_identity_zero_dynamics():
     prob = make_smoke()
     sol, batch = pipeline(prob, 500, 500, paths=16, seed=4, store=1)
-    report = cost_identity_check(prob, build_augmented(prob), sol, batch)
+    report = cost_identity_check(prob, sol, batch)
     assert report.r2 == pytest.approx(4.0)
     assert report.m5_integral == 0.0
     assert report.analytic_value == pytest.approx(2.0)
@@ -186,7 +186,7 @@ def test_cost_identity_homogeneous_zero():
         1, 1, 1, 1.0, A1=0.3, A2=0.4, A4=1.0, D1=0.5, D2=0.6, D4=1.0,
         G=1.0, x0=0.0)
     sol, batch = pipeline(prob, 500, 1000, paths=4000, seed=6, store=1)
-    report = cost_identity_check(prob, build_augmented(prob), sol, batch)
+    report = cost_identity_check(prob, sol, batch)
     assert report.r2 == 0.0
     assert report.analytic_value == 0.0
     assert abs(report.mc_mean) <= max(3.0 * report.mc_stderr, 1e-12)
@@ -195,7 +195,7 @@ def test_cost_identity_homogeneous_zero():
 def test_cost_identity_coupled_instance():
     prob = make_fully_coupled()
     sol, batch = pipeline(prob, 1000, 2000, paths=20000, seed=7, store=1)
-    report = cost_identity_check(prob, build_augmented(prob), sol, batch)
+    report = cost_identity_check(prob, sol, batch)
     assert report.agreement_z is not None and report.agreement_z <= 3.0
     assert report.truncation_estimate < 10.0 * report.mc_stderr
 
@@ -204,8 +204,7 @@ def test_cost_identity_m5_integral_equals_per_node_sum():
     # the node-stacked M5 against one evaluation per node of the simulation grid
     prob = make_fully_coupled()
     sol, batch = pipeline(prob, 200, 400, paths=4, seed=9, store=1)
-    aug = build_augmented(prob)
-    report = cost_identity_check(prob, aug, sol, batch)
+    report = cost_identity_check(prob, sol, batch)
     grid = batch.grid
     _, last = grid.guard_node()
     vals = []
@@ -216,9 +215,9 @@ def test_cost_identity_m5_integral_equals_per_node_sum():
         w = gated_inverse(P1, "P1")[0] @ phi1
         Pt = np.block([[P1 + P2.T @ P3_inv @ P2, -P2.T @ P3_inv], [-P3_inv @ P2, P3_inv]])
         phit = np.concatenate([-w, phi2 - P2 @ w])[:, np.newaxis]
-        mc = m_coefficients(aug, Pt, t)
+        mc = m_coefficients(prob, Pt, t)
         M1_inv, _ = gated_inverse(mc.M1, "M1")
-        vals.append(float(m5_from_terms(aug.snapshot(t), Pt, phit, M1_inv, mc.M2, mc.M3)))
+        vals.append(float(m5_from_terms(augmented(prob, t), Pt, phit, M1_inv, mc.M2, mc.M3)))
     expected = float(np.trapezoid(vals, dx=grid.dt))
     assert expected != 0.0
     assert report.m5_integral == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -272,10 +271,9 @@ def test_decoupling_residual_halves_with_step():
 
 def penalized_setup(prob, i, steps, seed, paths):
     grid = TimeGrid(prob.T, steps)
-    aug = build_augmented(prob)
-    ric, psi = solve_offset_tilde(aug, prob, i, grid)
+    ric, psi = solve_offset_tilde(prob, i, grid)
     cfg = SimConfig(steps=steps, paths=paths, base_seed=seed, store_paths=1)
-    return aug, ric, psi, cfg
+    return ric, psi, cfg
 
 
 def probe_controls(seed, dim):
@@ -292,21 +290,21 @@ def probe_controls(seed, dim):
 
 def test_penalized_zero_perturbation_is_identity():
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 500, 13, 200)
+    ric, offset, cfg = penalized_setup(prob, 8, 500, 13, 200)
     base, zero = simulate_penalized_forward(
-        aug, ric, offset, [("synthesized",), ("perturbed", 0.0, np.array([1.0, 0.0]))],
+        ric, offset, [("synthesized",), ("perturbed", 0.0, np.array([1.0, 0.0]))],
         prob, 8, cfg)
     assert np.array_equal(base.samples, zero.samples)
 
 
 def test_penalized_batch_equals_single_runs():
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 18, 300)
-    controls = probe_controls(19, aug.control_dim)
-    batch = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+    ric, offset, cfg = penalized_setup(prob, 8, 100, 18, 300)
+    controls = probe_controls(19, prob.k + prob.m)
+    batch = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
     assert len(batch) == len(controls)
     for control, cost in zip(controls, batch):
-        [single] = simulate_penalized_forward(aug, ric, offset, [control], prob, 8, cfg)
+        [single] = simulate_penalized_forward(ric, offset, [control], prob, 8, cfg)
         assert np.array_equal(cost.samples, single.samples)
         assert (cost.mean, cost.stderr) == (single.mean, single.stderr)
 
@@ -318,11 +316,11 @@ def test_penalized_batch_is_chunk_invariant():
     for prob, chunk, count in ((make_partially_coupled(), 37, 31),
                                (piecewise_matrix_problem(), 5, 31),
                                (make_partially_coupled(), 299, 1)):
-        aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
-        controls = probe_controls(21, aug.control_dim)[:count]
-        full = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+        ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
+        controls = probe_controls(21, prob.k + prob.m)[:count]
+        full = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
         chunked = simulate_penalized_forward(
-            aug, ric, offset, controls, prob, 8,
+            ric, offset, controls, prob, 8,
             SimConfig(steps=cfg.steps, paths=cfg.paths, base_seed=cfg.base_seed,
                       store_paths=1, chunk=chunk))
         for a, b in zip(full, chunked):
@@ -332,10 +330,10 @@ def test_penalized_batch_is_chunk_invariant():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_penalized_divergence_names_control_and_path():
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 100, 22, 50)
-    blowup = ("perturbed", 1.0, np.full((cfg.steps + 1, aug.control_dim), np.inf))
+    ric, offset, cfg = penalized_setup(prob, 8, 100, 22, 50)
+    blowup = ("perturbed", 1.0, np.full((cfg.steps + 1, prob.k + prob.m), np.inf))
     with pytest.raises(DivergedError) as err:
-        simulate_penalized_forward(aug, ric, offset, [("synthesized",), blowup],
+        simulate_penalized_forward(ric, offset, [("synthesized",), blowup],
                                    prob, 8, cfg)
     assert "control 1, path 0 at step" in str(err.value)
 
@@ -353,10 +351,10 @@ def test_closed_loop_divergence_names_path():
 def test_penalized_cost_overflow_names_control_and_path():
     # the state stays finite, but a 1e300 control overflows the running cost
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 50, 22, 8)
-    huge = ("perturbed", 1e300, np.ones(aug.control_dim))
+    ric, offset, cfg = penalized_setup(prob, 8, 50, 22, 8)
+    huge = ("perturbed", 1e300, np.ones(prob.k + prob.m))
     with pytest.raises(DivergedError) as err:
-        simulate_penalized_forward(aug, ric, offset, [("synthesized",), huge], prob, 8, cfg)
+        simulate_penalized_forward(ric, offset, [("synthesized",), huge], prob, 8, cfg)
     assert "cost of control 1, path 0 non-finite" in str(err.value)
 
 
@@ -371,14 +369,14 @@ def test_closed_loop_cost_overflow_names_path():
 
 def test_penalized_perturbations_never_win():
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 500, 14, 2000)
+    ric, offset, cfg = penalized_setup(prob, 8, 500, 14, 2000)
     rng = np.random.Generator(np.random.Philox(key=15))
     controls = [("synthesized",)]
     for _ in range(4):
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
         controls += [("perturbed", eps, d) for eps in (0.05, 0.2)]
-    base, *perturbed = simulate_penalized_forward(aug, ric, offset, controls, prob, 8, cfg)
+    base, *perturbed = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
     for pert in perturbed:
         diff = pert.samples - base.samples
         stderr = np.std(diff, ddof=1) / np.sqrt(len(diff))
@@ -387,16 +385,16 @@ def test_penalized_perturbations_never_win():
 
 def test_penalized_gap_matches_quadratic_prediction():
     prob = make_partially_coupled()
-    aug, ric, offset, cfg = penalized_setup(prob, 8, 2000, 16, 4000)
+    ric, offset, cfg = penalized_setup(prob, 8, 2000, 16, 4000)
     d = np.array([0.6, 0.8])
     epsilons = (0.1, 0.2)
     base, *perturbed = simulate_penalized_forward(
-        aug, ric, offset, [("synthesized",)] + [("perturbed", eps, d) for eps in epsilons],
+        ric, offset, [("synthesized",)] + [("perturbed", eps, d) for eps in epsilons],
         prob, 8, cfg)
     for eps, pert in zip(epsilons, perturbed):
         diff = pert.samples - base.samples
         stderr = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
-        pred = penalized_gap_prediction(aug, ric, eps, d, cfg, prob)
+        pred = penalized_gap_prediction(ric, eps, d, cfg, prob)
         assert abs(np.mean(diff) - pred) < 3.0 * stderr + 0.02 * pred
 
 

@@ -23,7 +23,7 @@ from fblq.model import (
     validate,
 )
 from fblq.odes import TimeGrid
-from fblq.riccati import build_augmented
+from fblq.riccati import augmented
 
 
 def test_constant_coefficient_any_time():
@@ -54,9 +54,8 @@ def test_on_grid_equals_snapshot_at_every_node(steps):
     # the breakpoints 0.25, 0.5 and 0.75 are nodes of the 40-step grid only
     grid = TimeGrid(1.0, steps)
     for prob in (switching_problem(), piecewise_matrix_problem()):
-        aug = build_augmented(prob)
         for stack, at in ((prob.on_grid(grid), prob.snapshot),
-                          (aug.on_grid(grid), aug.snapshot),
+                          (augmented(prob, grid.nodes), lambda t: augmented(prob, t)),
                           (hamiltonian_blocks(prob, grid.nodes),
                            lambda t: hamiltonian_blocks(prob, t))):
             names = [f.name for f in fields(stack)]
@@ -73,7 +72,7 @@ def test_derived_sets_are_built_once_per_piece_and_failures_keep_their_time():
     assert hamiltonian_blocks(prob, 0.3) is hamiltonian_blocks(prob, 0.45)
     assert hamiltonian_blocks(prob, 0.3) is not hamiltonian_blocks(prob, 0.5)
     assert not hamiltonian_blocks(prob, 0.3).C2.flags.writeable   # shared, so read-only
-    assert build_augmented(prob).snapshot(0.6) is build_augmented(prob).snapshot(1.0)
+    assert augmented(prob, 0.6) is augmented(prob, 1.0)
 
     # a singular D4 on the last piece raises for that piece only, every time
     bad = replace(prob, D4=CoefficientFunction.piecewise([0.0, 0.5], [[[1.0]], [[0.0]]]))

@@ -111,3 +111,21 @@ def test_traced_riccati_solve_integrates_once(tmp_path):
     assert "riccati.solve" not in names
     [ode] = [s for s in tracer.spans if s[0] == "odes.integrate_terminal"]
     assert tracer.spans[ode[3]][0] == "riccati.offset"
+
+
+def test_traced_probe_binds_arguments(tmp_path):
+    tracing = perfbench_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.run_id = 0
+        code = cli.main(["verify", str(ROOT / "problems" / "partially_coupled_example.yaml"),
+                         "--suite", "optimality", "--grid", "50", "--paths", "8",
+                         "--output-dir", str(tmp_path)])
+        tracer.run_id = None
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    attrs = {s[0]: s[5] for s in tracer.spans}
+    assert attrs["mc.penalized_forward"] == {"path_steps": 8 * 50}
+    assert "riccati.offset" in attrs
