@@ -156,8 +156,7 @@ def cmd_validate(args) -> int:
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'} at level {report.level}")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    (outdir / "validate.txt").write_text(text, encoding="utf-8")
-    manifest.outputs.append(str(outdir / "validate.txt"))
+    _output(outdir, "validate.txt", manifest).write_text(text, encoding="utf-8")
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.write(outdir)
     return EXIT_OK if report.passed else EXIT_PRECONDITION
@@ -231,9 +230,8 @@ def cmd_solve(args) -> int:
                 "p3_min_eig": diag.p3_min_eig,
                 "gain_cond_bound": diag.gain_cond_bound,
             }
-            (outdir / "limit_diagnostics.json").write_text(
+            _output(outdir, "limit_diagnostics.json", manifest).write_text(
                 json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            manifest.outputs.append(str(outdir / "limit_diagnostics.json"))
             if not diag.converged:
                 manifest.notes.append(
                     "penalization schedule exhausted above tolerance; "
@@ -265,10 +263,10 @@ def cmd_simulate(args) -> int:
     sol = integrate_direct(problem, EXACT, grid)
     sim_grid = TimeGrid(problem.T, steps)
     table = evaluate_gain_table(problem, sol, sim_grid)
-    law = synthesize(problem, sol, table=table, xy_form=False)
-    sys_cl = closed_loop_coefficients(problem, sol, table=table)
+    law = synthesize(table, xy_form=False)
+    sys_cl = closed_loop_coefficients(problem, table)
     batch = simulate_closed_loop(problem, sys_cl, cfg)
-    cost = cost_identity_check(problem, sol, batch)
+    cost = cost_identity_check(problem, table, batch)
     stat_max, stat_mean = stationarity_residual(problem, batch)
     outdir = _outdir(args)
 
@@ -294,11 +292,8 @@ def cmd_simulate(args) -> int:
     payload.update({"stationarity_max": stat_max, "stationarity_mean": stat_mean})
     if validate(problem, LEVEL_STRICT).passed:
         try:
-            sol_i = integrate_direct(problem, 4, grid)
-            ric_i = solve_auxiliary_riccati(problem, 4, grid)
-            payload["identity_max_residual"] = max(
-                identity_suite(problem, sol_i, ric_i, float(t)).max_counted_residual
-                for t in np.linspace(0.0, problem.T, 5))
+            payload["identity_max_residual"] = _identity_residual(
+                problem, grid, np.linspace(0.0, problem.T, 5))
         except FBLQError as err:
             manifest.notes.append(f"identity summary skipped: {err}")
     else:
@@ -317,11 +312,10 @@ def cmd_simulate(args) -> int:
         write_csv(_output(outdir, "paths.csv", manifest), heads, rows())
 
     text_lines = [f"{k} = {v}" for k, v in payload.items()]
-    report_txt = outdir / "cost_report.txt"
-    report_txt.write_text("\n".join(text_lines) + "\n", encoding="utf-8")
-    (outdir / "cost_report.json").write_text(
+    _output(outdir, "cost_report.txt", manifest).write_text(
+        "\n".join(text_lines) + "\n", encoding="utf-8")
+    _output(outdir, "cost_report.json", manifest).write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    manifest.outputs += [str(report_txt), str(outdir / "cost_report.json")]
     sys.stdout.write("\n".join(text_lines) + "\n")
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.write(outdir)
@@ -347,18 +341,18 @@ class SuiteCheck:
                 f"{self.measured:.3e} ({self.op} {self.threshold:.1e})")
 
 
+def _identity_residual(problem, grid, times) -> float:
+    """Largest counted identity residual of the i = 4 direct and Riccati
+    solves over ``times``; the problem must pass the strict level."""
+    sol = integrate_direct(problem, 4, grid)
+    ric = solve_auxiliary_riccati(problem, 4, grid)
+    return max(identity_suite(problem, sol, ric, float(t)).max_counted_residual
+               for t in times)
+
+
 def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
-    report = validate(problem, LEVEL_STRICT)
-    if not report.passed:
-        raise PreconditionError("identities suite needs strictly positive control weights")
-    i = 4
-    sol = integrate_direct(problem, i, grid)
-    ric = solve_auxiliary_riccati(problem, i, grid)
-    worst = 0.0
     times = rng.uniform(0.0, problem.T, size=20)
-    for t in times:
-        rep = identity_suite(problem, sol, ric, float(t))
-        worst = max(worst, rep.max_counted_residual)
+    worst = _identity_residual(problem, grid, times)
     return [SuiteCheck("identities", f"max residual over {len(times)} times", worst, 1e-8,
                        worst <= 1e-8)]
 
@@ -423,7 +417,7 @@ def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
         direction = rng.standard_normal(problem.k + problem.m)
         direction /= np.linalg.norm(direction)
         controls += [("perturbed", eps, direction) for eps in epsilons]
-    base, *perturbed = simulate_penalized_forward(ric, psi, controls, problem, i, cfg)
+    base, *perturbed = simulate_penalized_forward(ric, psi, controls, problem, cfg)
     worst_z = -np.inf
     ratio_checks = []
     for first in range(0, len(perturbed), len(epsilons)):
@@ -463,7 +457,13 @@ def cmd_verify(args) -> int:
     checks: list[SuiteCheck] = []
     wanted = args.suite
     if wanted in ("identities", "all"):
-        checks += _suite_identities(problem, grid, rng)
+        if validate(problem, LEVEL_STRICT).passed:
+            checks += _suite_identities(problem, grid, rng)
+        elif wanted == "all":
+            manifest.notes.append(
+                "identities suite skipped: control weights not strictly positive")
+        else:
+            raise PreconditionError("identities suite needs strictly positive control weights")
     if wanted in ("monotone", "all"):
         checks += _suite_monotone(problem, grid)
     if wanted in ("rate", "all"):
@@ -479,11 +479,9 @@ def cmd_verify(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     outdir = _outdir(args)
-    (outdir / "verify_report.txt").write_text(text, encoding="utf-8")
-    (outdir / "verify_report.json").write_text(
+    _output(outdir, "verify_report.txt", manifest).write_text(text, encoding="utf-8")
+    _output(outdir, "verify_report.json", manifest).write_text(
         json.dumps([asdict(c) for c in checks], indent=2) + "\n", encoding="utf-8")
-    manifest.outputs += [str(outdir / "verify_report.txt"),
-                         str(outdir / "verify_report.json")]
     manifest.wall_clock_s = time.perf_counter() - t0
     manifest.write(outdir)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY

@@ -519,7 +519,6 @@ class LimitDiagnostics:
     consecutive_diffs: tuple[float, ...]
     rate_exponent: float | None
     converged: bool
-    smallest_index: int                # first index whose solve succeeded
     limit_distance: float
     p2_bound: float                    # max |P2_i| seen along the sweep
     p1_bound: float                    # max |P1_i| seen along the sweep
@@ -662,7 +661,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     diagnostics = LimitDiagnostics(
         schedule=used, doubling_diffs=tuple(doubling),
         consecutive_diffs=tuple(consecutive), rate_exponent=rate,
-        converged=converged, smallest_index=used[0],
+        converged=converged,
         limit_distance=_solution_diff(iterates[-1][1], limit_sol),
         p2_bound=p2_bound, p1_bound=p1_bound,
         p3_min_eig=float(p3_min), gain_cond_bound=cond_bound,

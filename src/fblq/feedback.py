@@ -44,7 +44,9 @@ class GainTable:
 def evaluate_gain_table(problem: FBLQProblem, sol: DecoupledSolution,
                         grid: TimeGrid | None = None) -> GainTable:
     """Evaluate the gain family at every node of ``grid`` (default: the
-    solution's own) as one node stack.
+    solution's own), whose steps must be a multiple of the solution's, as
+    one node stack: the only view of a solution that the feedback law, the
+    closed loop and the cost identity read.
 
     On a refined grid the blocks are linearly interpolated and the gains
     recomputed from the interpolated blocks, which keeps the algebraic
@@ -52,6 +54,8 @@ def evaluate_gain_table(problem: FBLQProblem, sol: DecoupledSolution,
     inverse is reported at the time of its first failing node.
     """
     grid = grid or sol.grid
+    if grid.steps % sol.grid.steps != 0:
+        raise DomainError("simulation steps must be a multiple of the solution grid")
     P1, P2, P3, phi1, phi2 = (path.on_grid(grid) for path in
                               (sol.P1, sol.P2, sol.P3, sol.phi1, sol.phi2))
     try:
@@ -82,20 +86,16 @@ class FeedbackLaw:
     guard_node: int
 
 
-def synthesize(problem: FBLQProblem, sol: DecoupledSolution,
-               table: GainTable | None = None,
-               xy_form: bool = True) -> FeedbackLaw:
-    """Assemble the feedback law from a decoupled solution.
+def synthesize(table: GainTable, xy_form: bool = True) -> FeedbackLaw:
+    """Assemble the feedback law from a gain table.
 
-    The (X, h)-form is always produced, on the grid of ``table`` (default:
-    the solution's own). With ``xy_form`` the (X, Y)-form is additionally
-    built on nodes two grid steps or more before T and requires P3
-    invertible there; a SingularCoefficientError reports the earliest
-    failing node otherwise.
+    The (X, h)-form is always produced, on the grid of ``table``. With
+    ``xy_form`` the (X, Y)-form is additionally built on nodes two grid
+    steps or more before T and requires P3 invertible there; a
+    SingularCoefficientError reports the earliest failing node otherwise.
     Callers that only drive the closed loop can skip the (X, Y)-form, which
     does not exist at all when P3 vanishes identically.
     """
-    table = table or evaluate_gain_table(problem, sol)
     grid = table.grid
     _, guard_node = grid.guard_node()
     if not xy_form:
@@ -137,15 +137,11 @@ class ClosedLoopSystem:
     recovery: AffineMap
     rows: dict[str, slice]
     running_cost: np.ndarray   # (N+1, n+m+1, n+m+1)
-    x0: np.ndarray
     h0: np.ndarray
 
 
-def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
-                             grid: TimeGrid | None = None,
-                             table: GainTable | None = None) -> ClosedLoopSystem:
-    """The closed-loop maps on the grid of ``table`` (else ``grid``, else
-    the solution's own), whose steps must be a multiple of the solution's.
+def closed_loop_coefficients(problem: FBLQProblem, table: GainTable) -> ClosedLoopSystem:
+    """The closed-loop maps on the grid of ``table``.
 
     The recovery map is the affine decoupling at each node:
 
@@ -159,10 +155,7 @@ def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
         dX = (A1 X + B1 Y + C1 Z + D1 u) dt + (A2 X + B2 Y + C2 Z + D2 u) dB,
         dh = (B3' h + B4 Y + B1' m + B2' n) dt + (C3' h + C4 Z + C1' m + C2' n) dB.
     """
-    grid = table.grid if table else (grid or sol.grid)
-    if grid.steps % sol.grid.steps != 0:
-        raise DomainError("simulation steps must be a multiple of the solution grid")
-    table = table or evaluate_gain_table(problem, sol, grid)
+    grid = table.grid
     s = problem.on_grid(grid)
     n, m, k = problem.n, problem.m, problem.k
     nodes = grid.steps + 1
@@ -196,7 +189,7 @@ def closed_loop_coefficients(problem: FBLQProblem, sol: DecoupledSolution,
                        for name, w in (("X", s.A4), ("Y", s.B4), ("Z", s.C4), ("u", s.D4)))
     h0 = initial_h(problem, table.P2[0], table.P3[0], table.phi2[0])
     return ClosedLoopSystem(grid=grid, dynamics=dynamics, recovery=recovery, rows=rows,
-                            running_cost=running_cost, x0=np.array(problem.x0), h0=h0)
+                            running_cost=running_cost, h0=h0)
 
 
 def initial_h(problem: FBLQProblem, P2_0: np.ndarray, P3_0: np.ndarray,

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decouple import DecoupledSolution
 from .errors import DivergedError, DomainError, PreconditionError
-from .feedback import ClosedLoopSystem, initial_h
+from .feedback import ClosedLoopSystem, GainTable, initial_h
 from .linalg import gated_inverse, node_inverse
 from .model import COEFF_NAMES, FBLQProblem
 from .odes import MatrixPath, TimeGrid
@@ -108,7 +107,7 @@ def simulate_closed_loop(problem: FBLQProblem, sys: ClosedLoopSystem,
     dt = grid.dt
     steps = grid.steps
     n = problem.n
-    start = np.concatenate([sys.x0, sys.h0, [1.0]])
+    start = np.concatenate([problem.x0, sys.h0, [1.0]])
     d = start.size - 1
     step_map = np.concatenate([sys.dynamics.gain, sys.dynamics.offset[..., np.newaxis]], axis=2)
     Phi, Psi = np.eye(d, d + 1) + dt * step_map[:, :d], step_map[:, d:]
@@ -224,46 +223,26 @@ def evaluate_cost(problem: FBLQProblem, batch: SimBatch, recompute: bool = False
     return CostReport(mean, stderr)
 
 
-def _offsets_vanish(sol: DecoupledSolution) -> bool:
-    return (float(np.max(np.abs(sol.phi1.values))) <= 1e-14
-            and float(np.max(np.abs(sol.phi2.values))) <= 1e-14)
-
-
-def _m5_on_nodes(problem: FBLQProblem, sol: DecoupledSolution, grid: TimeGrid,
-                 last: int) -> np.ndarray:
-    """M5 at nodes 0..last of ``grid`` as one node stack: the interpolated
-    blocks are mapped to the augmented (Ptilde, phitilde)."""
-    times = grid.nodes[:last + 1]
-    P1, P2, P3, phi1, phi2 = (path.on_grid(grid)[:last + 1] for path in
-                              (sol.P1, sol.P2, sol.P3, sol.phi1, sol.phi2))
-    P3_inv, _ = node_inverse(P3, "P3", times)
-    P1_inv, _ = node_inverse(P1, "P1", times)
-    Pt = np.block([[P1 + P2.mT @ P3_inv @ P2, -P2.mT @ P3_inv], [-P3_inv @ P2, P3_inv]])
-    w = P1_inv @ phi1
-    phit = np.concatenate([-w, phi2 - P2 @ w], axis=1)
-    mc = m_coefficients(problem, Pt, times)
-    M1_inv, _ = node_inverse(mc.M1, "M1", times)
-    return m5_from_terms(augmented(problem, times), Pt, phit, M1_inv, mc.M2, mc.M3)
-
-
-def cost_identity_check(problem: FBLQProblem, sol: DecoupledSolution,
+def cost_identity_check(problem: FBLQProblem, table: GainTable,
                         batch: SimBatch) -> CostReport:
     """Analytic optimal cost versus the Monte Carlo estimate.
 
     The analytic value is half the initial quadratic plus half the integral
-    of the deterministic offset-quadratic term over [0, T - 2*dt] (the
+    of the deterministic offset-quadratic term M5 over [0, T - 2*dt] (the
     stacked weight is singular at the horizon where P3 vanishes, so the last
     two simulation steps are truncated and the truncation is estimated from
-    the final integrand value). agreement_z is |mc - analytic| in units of
-    the Monte Carlo standard error.
+    the final integrand value). Both terms read the gain table, which must
+    be on the batch's grid; M5 maps its nodes 0..last to the augmented
+    (Ptilde, phitilde). agreement_z is |mc - analytic| in units of the Monte
+    Carlo standard error.
     """
+    grid = batch.grid
+    if not np.array_equal(table.grid.nodes, grid.nodes):
+        raise DomainError("gain table must be on the simulation grid")
     base = evaluate_cost(problem, batch)
     x0 = problem.x0
-    P1_0 = sol.P1.initial
-    phi1_0 = sol.phi1.initial[:, 0]
-    phi2_0 = sol.phi2.initial[:, 0]
-    P2_0 = sol.P2.initial
-    P3_0 = sol.P3.initial
+    P1_0, P2_0, P3_0 = table.P1[0], table.P2[0], table.P3[0]
+    phi1_0, phi2_0 = table.phi1[0], table.phi2[0]
     if float(np.max(np.abs(phi1_0))) == 0.0:
         r2 = float(x0 @ P1_0 @ x0)
     else:
@@ -272,12 +251,26 @@ def cost_identity_check(problem: FBLQProblem, sol: DecoupledSolution,
         r2 = float(w @ P1_0 @ w)
     r2 += float((P2_0 @ x0 + phi2_0) @ initial_h(problem, P2_0, P3_0, phi2_0))
 
-    grid = batch.grid
     _, last = grid.guard_node()
-    if _offsets_vanish(sol) or last < 1:
+    offsets_vanish = (float(np.max(np.abs(table.phi1))) <= 1e-14
+                      and float(np.max(np.abs(table.phi2))) <= 1e-14)
+    if offsets_vanish or last < 1:
         m5_vals = np.zeros(max(last + 1, 1))
     else:
-        m5_vals = _m5_on_nodes(problem, sol, grid, last)
+        times = grid.nodes[:last + 1]
+        P1, P2, P3 = (blocks[:last + 1] for blocks in (table.P1, table.P2, table.P3))
+        phi1, phi2 = (phi[:last + 1, :, np.newaxis] for phi in (table.phi1, table.phi2))
+        P3_inv, _ = node_inverse(P3, "P3", times)
+        Pt = np.block([[P1 + P2.mT @ P3_inv @ P2, -P2.mT @ P3_inv], [-P3_inv @ P2, P3_inv]])
+        if np.any(phi1):
+            P1_inv, _ = node_inverse(P1, "P1", times)
+            w = P1_inv @ phi1
+        else:   # phitilde1 = -P1^-1 phi1 vanishes with phi1, also where P1 does
+            w = np.zeros_like(phi1)
+        phit = np.concatenate([-w, phi2 - P2 @ w], axis=1)
+        mc = m_coefficients(problem, Pt, times)
+        M1_inv, _ = node_inverse(mc.M1, "M1", times)
+        m5_vals = m5_from_terms(augmented(problem, times), Pt, phit, M1_inv, mc.M2, mc.M3)
     m5_integral = float(np.trapezoid(m5_vals, dx=grid.dt))
     truncation = float(abs(m5_vals[-1])) * (grid.T - float(grid.nodes[last]))
     analytic = 0.5 * r2 + 0.5 * m5_integral
@@ -363,12 +356,11 @@ def _perturbation(control, steps: int, dim: int) -> tuple[float, np.ndarray]:
 
 
 def simulate_penalized_forward(riccati_i: RiccatiSolution, psi: MatrixPath, controls,
-                               problem: FBLQProblem, i: int,
-                               cfg: SimConfig) -> list[PenalizedCost]:
+                               problem: FBLQProblem, cfg: SimConfig) -> list[PenalizedCost]:
     """Forward simulation of the stacked state under a batch of (u, Z) policies.
 
     ``psi`` is the offset path P phi~ that solve_offset_tilde returns next to
-    ``riccati_i``.
+    ``riccati_i``, the solve at penalization index i.
 
     ``controls`` is a sequence of specs, each ("synthesized",) for the
     completion-of-squares feedback or ("perturbed", eps, direction) to add
@@ -384,8 +376,6 @@ def simulate_penalized_forward(riccati_i: RiccatiSolution, psi: MatrixPath, cont
     other controls in the batch or on the chunk size, so the eps = 0
     perturbation is bitwise equal to the synthesized run.
     """
-    if riccati_i.i != i:
-        raise DomainError("index mismatch between solve and request")
     grid = TimeGrid(problem.T, cfg.steps)
     n = problem.n
     d = n + problem.m
@@ -446,7 +436,7 @@ def simulate_penalized_forward(riccati_i: RiccatiSolution, psi: MatrixPath, cont
             gap = Y_T - np.einsum("ij,jp->ip", problem.F, X_T) - problem.xi[:, np.newaxis]
             cost = 0.5 * (dt * qsum
                           + np.einsum("ip,ip->p", X_T, problem.G @ X_T)
-                          + i * np.einsum("ip,ip->p", gap, gap))
+                          + riccati_i.i * np.einsum("ip,ip->p", gap, gap))
         # a finite state can still carry a cost past the float range
         if not np.all(np.isfinite(cost)):
             c, bad = divmod(int(np.argmin(np.isfinite(cost))), width)

@@ -87,10 +87,10 @@ def mc_pipeline(prob, ode_steps, sim_steps, paths, seed, store=1):
     sol = integrate_direct(prob, EXACT, grid)
     sim_grid = TimeGrid(prob.T, sim_steps)
     table = evaluate_gain_table(prob, sol, sim_grid)
-    sys_cl = closed_loop_coefficients(prob, sol, table=table)
+    sys_cl = closed_loop_coefficients(prob, table)
     cfg = SimConfig(steps=sim_steps, paths=paths, base_seed=seed, store_paths=store)
     batch = simulate_closed_loop(prob, sys_cl, cfg)
-    return sol, batch
+    return table, batch
 
 
 def test_criterion_01_scalar_lq_tanh_oracle():
@@ -224,8 +224,8 @@ def test_criterion_07_q_blocks_match_p_blocks():
 def test_criterion_08_cost_identity(label, factory, seed):
     prob = factory()
     start = time.perf_counter()
-    sol, batch = mc_pipeline(prob, 2000, 4000, paths=100000, seed=seed)
-    rep = cost_identity_check(prob, sol, batch)
+    table, batch = mc_pipeline(prob, 2000, 4000, paths=100000, seed=seed)
+    rep = cost_identity_check(prob, table, batch)
     elapsed = time.perf_counter() - start
     assert rep.agreement_z is not None and rep.agreement_z <= 3.0, rep
     assert elapsed < 120.0, f"runtime {elapsed:.0f}s"
@@ -239,7 +239,7 @@ def test_criterion_09_stationarity_residual():
     scale = coefficient_scale(prob)
     means = {}
     for steps in (2000, 4000):
-        sol, batch = mc_pipeline(prob, 2000, steps, paths=256, seed=99, store=256)
+        table, batch = mc_pipeline(prob, 2000, steps, paths=256, seed=99, store=256)
         _, mean_res = stationarity_residual(prob, batch)
         bound = 1e-6 + 10.0 * batch.grid.dt * scale
         assert mean_res <= bound, (steps, mean_res, bound)
@@ -272,7 +272,7 @@ def test_criterion_10_penalized_optimality():
         d /= np.linalg.norm(d)
         controls += [("perturbed", eps, d) for eps in epsilons]
     base, *perturbed = simulate_penalized_forward(ric, psi, controls,
-                                                  prob, i, cfg)
+                                                  prob, cfg)
     worst_neg = 0.0
     ratios = []
     for first in range(0, len(perturbed), len(epsilons)):
@@ -341,7 +341,7 @@ def test_criterion_12_transpose_consistency():
 
 def test_criterion_13_reproducibility_and_stderr_scaling():
     prob = random_scalar_problem(RANDOM_MC_SEED)
-    sol, batch_a = mc_pipeline(prob, 1000, 1000, paths=20000, seed=777, store=4)
+    table, batch_a = mc_pipeline(prob, 1000, 1000, paths=20000, seed=777, store=4)
     _, batch_b = mc_pipeline(prob, 1000, 1000, paths=20000, seed=777, store=4)
     assert np.array_equal(batch_a.cost_samples, batch_b.cost_samples)
     for name in batch_a.trajectories:
@@ -353,9 +353,9 @@ def test_criterion_13_reproducibility_and_stderr_scaling():
     ric, psi = solve_offset_tilde(prob, i, grid)
     cfg = SimConfig(steps=1000, paths=5000, base_seed=778, store_paths=1)
     [pen_a] = simulate_penalized_forward(ric, psi, [("synthesized",)],
-                                         prob, i, cfg)
+                                         prob, cfg)
     [pen_b] = simulate_penalized_forward(ric, psi, [("synthesized",)],
-                                         prob, i, cfg)
+                                         prob, cfg)
     assert np.array_equal(pen_a.samples, pen_b.samples)
 
     _, small = mc_pipeline(prob, 1000, 1000, paths=5000, seed=777)

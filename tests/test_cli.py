@@ -281,6 +281,17 @@ def test_verify_all_suites_end_to_end(tmp_path):
     assert any("special suite skipped" in note for note in manifest["notes"])
 
 
+def test_verify_all_skips_identities_below_the_strict_level(tmp_path):
+    code = run(tmp_path, "verify", str(PROBLEMS / "backward_lq.yaml"),
+               "--suite", "all", "--grid", "100", "--paths", "200")
+    assert code == 0
+    rows = json.loads((tmp_path / "verify_report.json").read_text())
+    assert "identities" not in {r["suite"] for r in rows}
+    assert all(r["passed"] for r in rows)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert any("identities suite skipped" in note for note in manifest["notes"])
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
 def test_threads_option_rejected(tmp_path, command):
     with pytest.raises(SystemExit) as err:

@@ -66,13 +66,13 @@ def test_closed_loop_grid_must_be_a_multiple_of_the_solution_grid():
     prob = make_fully_coupled()
     sol = integrate_direct(prob, EXACT, TimeGrid(1.0, 100))
     with pytest.raises(DomainError):
-        closed_loop_coefficients(prob, sol, TimeGrid(1.0, 150))
+        closed_loop_coefficients(prob, evaluate_gain_table(prob, sol, TimeGrid(1.0, 150)))
 
 
 def test_zero_dynamics_all_gains_zero(grid1000):
     prob = make_smoke()
     sol = integrate_direct(prob, EXACT, grid1000)
-    law = synthesize(prob, sol, xy_form=False)
+    law = synthesize(evaluate_gain_table(prob, sol), xy_form=False)
     assert np.max(np.abs(law.xh_gain_X)) == 0.0
     assert np.max(np.abs(law.xh_gain_h)) == 0.0
     assert np.max(np.abs(law.xh_offset)) == 0.0
@@ -82,7 +82,7 @@ def test_xy_form_requires_invertible_p3(grid1000):
     prob = make_smoke()  # P3 vanishes identically
     sol = integrate_direct(prob, EXACT, grid1000)
     with pytest.raises(SingularCoefficientError) as err:
-        synthesize(prob, sol)
+        synthesize(evaluate_gain_table(prob, sol))
     assert err.value.time == pytest.approx(0.0)  # earliest failing node
 
 
@@ -91,7 +91,7 @@ def test_indefinite_example_xy_form(grid2000):
     # the Y-gain is (D4 + D2^2 P1)^-1 D3 / P3
     prob = make_indefinite()
     sol = integrate_direct(prob, EXACT, grid2000)
-    law = synthesize(prob, sol)
+    law = synthesize(evaluate_gain_table(prob, sol))
     t = grid2000.nodes[: law.guard_node + 1]
     P1 = sol.P1.values[: law.guard_node + 1, 0, 0]
     P3 = sol.P3.values[: law.guard_node + 1, 0, 0]
@@ -104,7 +104,7 @@ def test_indefinite_example_xy_form(grid2000):
 def test_xy_gain_diverges_like_inverse_time_to_horizon(grid2000):
     prob = make_indefinite()
     sol = integrate_direct(prob, EXACT, grid2000)
-    law = synthesize(prob, sol)
+    law = synthesize(evaluate_gain_table(prob, sol))
     t = grid2000.nodes[: law.guard_node + 1]
     tail = slice(law.guard_node - 50, law.guard_node + 1)
     scaled = np.abs(law.xy_gain_Y[tail, 0, 0]) * (1.0 - t[tail])
@@ -114,7 +114,7 @@ def test_xy_gain_diverges_like_inverse_time_to_horizon(grid2000):
 def test_xh_xy_substitution_consistency(grid1000):
     prob = make_fully_coupled()
     sol = integrate_direct(prob, EXACT, grid1000)
-    law = synthesize(prob, sol)
+    law = synthesize(evaluate_gain_table(prob, sol))
     rng = np.random.Generator(np.random.Philox(key=77))
     for j in rng.integers(0, law.guard_node + 1, size=25):
         X = rng.standard_normal(1)
@@ -129,7 +129,7 @@ def test_xh_xy_substitution_consistency(grid1000):
 def test_closed_loop_zero_dynamics(grid1000):
     prob = make_smoke()
     sol = integrate_direct(prob, EXACT, grid1000)
-    sys_cl = closed_loop_coefficients(prob, sol)
+    sys_cl = closed_loop_coefficients(prob, evaluate_gain_table(prob, sol))
     for name, arr in (("gain", sys_cl.dynamics.gain), ("offset", sys_cl.dynamics.offset)):
         assert np.max(np.abs(arr)) == 0.0, name
     assert np.max(np.abs(sys_cl.h0)) == 0.0
@@ -143,7 +143,7 @@ def test_zero_initial_weight_kills_h0(grid1000):
                           "C1", "C2", "C3", "C4", "D1", "D2", "D3", "D4")},
         F=prob.F, G=prob.G, H=0.0, xi=prob.xi, x0=prob.x0)
     sol = integrate_direct(prob0, EXACT, grid1000)
-    sys_cl = closed_loop_coefficients(prob0, sol)
+    sys_cl = closed_loop_coefficients(prob0, evaluate_gain_table(prob0, sol))
     assert np.max(np.abs(sys_cl.h0)) == 0.0
     assert np.max(np.abs(sol.phi2.values)) > 0  # the offset itself is nonzero
 
@@ -152,7 +152,7 @@ def test_closed_loop_matches_inline_reevaluation(grid1000):
     prob = random_scalar_problem(61)
     sol = integrate_direct(prob, EXACT, grid1000)
     table = evaluate_gain_table(prob, sol)
-    sys_cl = closed_loop_coefficients(prob, sol, table=table)
+    sys_cl = closed_loop_coefficients(prob, table)
     # rows of the dynamics map: drift X, drift h, diffusion X, diffusion h
     N = {}
     for q, row in enumerate((0, 2, 1, 3)):
@@ -194,7 +194,7 @@ def test_closed_loop_matches_inline_reevaluation(grid1000):
 def test_gain_continuity(grid2000):
     prob = make_fully_coupled()
     sol = integrate_direct(prob, EXACT, grid2000)
-    law = synthesize(prob, sol, xy_form=False)
+    law = synthesize(evaluate_gain_table(prob, sol), xy_form=False)
     inc = np.max(np.abs(np.diff(law.xh_gain_X, axis=0)))
     assert inc < 50.0 * grid2000.dt
 
@@ -203,7 +203,7 @@ def test_h0_matches_fixed_point(grid1000):
     # h(0) = H Y(0) and Y(0) = P2 x0 - P3 h(0) + phi2(0) must be consistent
     prob = make_fully_coupled(xi=0.4)
     sol = integrate_direct(prob, EXACT, grid1000)
-    sys_cl = closed_loop_coefficients(prob, sol)
+    sys_cl = closed_loop_coefficients(prob, evaluate_gain_table(prob, sol))
     P2_0 = sol.P2.initial
     P3_0 = sol.P3.initial
     phi2_0 = sol.phi2.initial[:, 0]
@@ -221,7 +221,8 @@ def test_h_representation_zero_coupling():
     sol = integrate_direct(prob, EXACT, grid)
     x_path = np.full((501, 1), 2.0)
     incs = np.zeros(500)
-    h = closed_form_h_representation(prob, closed_loop_coefficients(prob, sol), x_path, incs)
+    h = closed_form_h_representation(
+        prob, closed_loop_coefficients(prob, evaluate_gain_table(prob, sol)), x_path, incs)
     assert np.max(np.abs(h)) == 0.0
 
 
@@ -230,7 +231,8 @@ def test_h_representation_requires_zero_terminal_offset(grid1000):
     sol = integrate_direct(prob, EXACT, grid1000)
     with pytest.raises(PreconditionError):
         closed_form_h_representation(
-            prob, closed_loop_coefficients(prob, sol), np.zeros((grid1000.steps + 1, 1)),
+            prob, closed_loop_coefficients(prob, evaluate_gain_table(prob, sol)),
+            np.zeros((grid1000.steps + 1, 1)),
             np.zeros(grid1000.steps))
 
 
@@ -251,7 +253,7 @@ def test_h_representation_constant_without_feedthrough():
     b2 = s.C1.T @ table.P1[0] + s.C2.T @ table.L8[0] + s.C4 @ table.L10[0]
     assert np.max(np.abs(b1)) == 0.0 and np.max(np.abs(b2)) == 0.0
     h = closed_form_h_representation(
-        prob, closed_loop_coefficients(prob, sol, table=table), x_path, incs)
+        prob, closed_loop_coefficients(prob, table), x_path, incs)
     assert np.max(np.abs(h - h[0])) == 0.0
     assert np.max(np.abs(h[0])) == 0.0
 
@@ -263,7 +265,7 @@ def test_h_representation_matches_simulation():
         grid = TimeGrid(1.0, steps)
         sol = integrate_direct(prob, EXACT, grid)
         table = evaluate_gain_table(prob, sol, grid)
-        sys_cl = closed_loop_coefficients(prob, sol, table=table)
+        sys_cl = closed_loop_coefficients(prob, table)
         cfg = SimConfig(steps=steps, paths=16, base_seed=99, store_paths=16)
         batch = simulate_closed_loop(prob, sys_cl, cfg)
         per_path = [

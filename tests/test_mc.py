@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    make_blq,
     make_fully_coupled,
     make_indefinite,
     make_partially_coupled,
@@ -11,7 +12,7 @@ from conftest import (
     piecewise_matrix_problem,
 )
 from fblq.decouple import EXACT, integrate_direct
-from fblq.errors import DivergedError
+from fblq.errors import DivergedError, DomainError
 from fblq.linalg import gated_inverse
 from fblq.feedback import closed_loop_coefficients, evaluate_gain_table
 from fblq.mc import (
@@ -41,11 +42,11 @@ def pipeline(prob, ode_steps, sim_steps, paths, seed, store=None):
     sol = integrate_direct(prob, EXACT, grid)
     sim_grid = TimeGrid(prob.T, sim_steps)
     table = evaluate_gain_table(prob, sol, sim_grid)
-    sys_cl = closed_loop_coefficients(prob, sol, table=table)
+    sys_cl = closed_loop_coefficients(prob, table)
     cfg = SimConfig(steps=sim_steps, paths=paths, base_seed=seed,
                     store_paths=store if store is not None else min(paths, 64))
     batch = simulate_closed_loop(prob, sys_cl, cfg)
-    return sol, batch
+    return table, batch
 
 
 def test_increments_are_per_path_keyed():
@@ -71,14 +72,14 @@ def test_increment_block_matches_per_path_streams(base_seed):
 def test_zero_dynamics_paths(grid1000):
     # with zero cost weights every recovered process vanishes
     flat = FBLQProblem.from_constants(1, 1, 1, 1.0, D4=1.0, x0=1.0)
-    sol, batch = pipeline(flat, 1000, 1000, paths=32, seed=5, store=32)
+    table, batch = pipeline(flat, 1000, 1000, paths=32, seed=5, store=32)
     assert np.all(batch.trajectories["X"] == 1.0)
     for name in ("h", "Y", "Z", "m", "n", "u"):
         assert np.max(np.abs(batch.trajectories[name])) == 0.0, name
 
     # terminal weight alone prices the frozen state: J = 0.5 * G * x0^2
     prob = make_smoke()
-    sol, batch = pipeline(prob, 1000, 1000, paths=32, seed=5, store=32)
+    table, batch = pipeline(prob, 1000, 1000, paths=32, seed=5, store=32)
     assert np.all(batch.trajectories["X"] == 2.0)
     assert np.max(np.abs(batch.trajectories["m"] - 2.0)) == 0.0  # adjoint = G X
     report = evaluate_cost(prob, batch)
@@ -89,7 +90,7 @@ def test_zero_dynamics_paths(grid1000):
 def test_constant_running_cost():
     # only a running weight on X, X frozen at 1: cost = 1/2
     prob = FBLQProblem.from_constants(1, 1, 1, 1.0, A4=1.0, D4=1.0, x0=1.0)
-    sol, batch = pipeline(prob, 500, 500, paths=8, seed=1, store=8)
+    table, batch = pipeline(prob, 500, 500, paths=8, seed=1, store=8)
     report = evaluate_cost(prob, batch)
     assert report.mc_mean == pytest.approx(0.5, abs=1e-12)
     assert report.mc_stderr == 0.0
@@ -100,10 +101,10 @@ def test_deterministic_limit_matches_rk4():
     prob = FBLQProblem.from_constants(
         1, 1, 1, 1.0, A1=0.3, A3=0.4, A4=1.0, B1=0.2, B3=0.1, B4=0.5,
         D1=0.5, D3=0.3, D4=1.0, F=0.6, G=1.0, H=0.4, x0=1.0)
-    sol, batch = pipeline(prob, 4000, 4000, paths=3, seed=2, store=3)
+    table, batch = pipeline(prob, 4000, 4000, paths=3, seed=2, store=3)
     assert np.max(np.abs(batch.trajectories["X"][0] - batch.trajectories["X"][1])) == 0.0
 
-    sys_cl = closed_loop_coefficients(prob, sol)
+    sys_cl = closed_loop_coefficients(prob, table)
     # drift rows (X, h) of the dynamics map, split into X, h and offset columns
     gain, offset = sys_cl.dynamics.gain[:, :2], sys_cl.dynamics.offset[:, :2]
     N = {"N1": gain[:, :1, :1], "N2": gain[:, :1, 1:], "N3": offset[:, :1],
@@ -141,15 +142,13 @@ def test_deterministic_limit_matches_rk4():
 
 def test_seed_reproducibility_and_chunk_invariance():
     prob = make_partially_coupled()
-    sol, batch_a = pipeline(prob, 500, 1000, paths=300, seed=11, store=16)
+    table, batch_a = pipeline(prob, 500, 1000, paths=300, seed=11, store=16)
     _, batch_b = pipeline(prob, 500, 1000, paths=300, seed=11, store=16)
     assert np.array_equal(batch_a.cost_samples, batch_b.cost_samples)
     for name in batch_a.trajectories:
         assert np.array_equal(batch_a.trajectories[name], batch_b.trajectories[name])
 
-    grid = TimeGrid(prob.T, 1000)
-    table = evaluate_gain_table(prob, sol, grid)
-    sys_cl = closed_loop_coefficients(prob, sol, table=table)
+    sys_cl = closed_loop_coefficients(prob, table)
     # chunks of 37 leave a tail of four paths at 300 and of one path at 38
     for paths, store in ((300, 16), (38, 38)):
         whole, batch_c = (simulate_closed_loop(prob, sys_cl, SimConfig(
@@ -164,7 +163,7 @@ def test_streaming_cost_matches_recomputation():
     # the piecewise matrix instance prices every recovered block at general
     # dimensions, pinning the folded running-cost form against the trajectories
     for prob in (make_fully_coupled(), piecewise_matrix_problem()):
-        sol, batch = pipeline(prob, 500, 500, paths=40, seed=3, store=40)
+        table, batch = pipeline(prob, 500, 500, paths=40, seed=3, store=40)
         streaming = evaluate_cost(prob, batch)
         recomputed = evaluate_cost(prob, batch, recompute=True)
         assert streaming.mc_mean == pytest.approx(recomputed.mc_mean, abs=1e-12)
@@ -173,8 +172,8 @@ def test_streaming_cost_matches_recomputation():
 
 def test_cost_identity_zero_dynamics():
     prob = make_smoke()
-    sol, batch = pipeline(prob, 500, 500, paths=16, seed=4, store=1)
-    report = cost_identity_check(prob, sol, batch)
+    table, batch = pipeline(prob, 500, 500, paths=16, seed=4, store=1)
+    report = cost_identity_check(prob, table, batch)
     assert report.r2 == pytest.approx(4.0)
     assert report.m5_integral == 0.0
     assert report.analytic_value == pytest.approx(2.0)
@@ -185,8 +184,8 @@ def test_cost_identity_homogeneous_zero():
     prob = FBLQProblem.from_constants(
         1, 1, 1, 1.0, A1=0.3, A2=0.4, A4=1.0, D1=0.5, D2=0.6, D4=1.0,
         G=1.0, x0=0.0)
-    sol, batch = pipeline(prob, 500, 1000, paths=4000, seed=6, store=1)
-    report = cost_identity_check(prob, sol, batch)
+    table, batch = pipeline(prob, 500, 1000, paths=4000, seed=6, store=1)
+    report = cost_identity_check(prob, table, batch)
     assert report.r2 == 0.0
     assert report.analytic_value == 0.0
     assert abs(report.mc_mean) <= max(3.0 * report.mc_stderr, 1e-12)
@@ -194,17 +193,35 @@ def test_cost_identity_homogeneous_zero():
 
 def test_cost_identity_coupled_instance():
     prob = make_fully_coupled()
-    sol, batch = pipeline(prob, 1000, 2000, paths=20000, seed=7, store=1)
-    report = cost_identity_check(prob, sol, batch)
+    table, batch = pipeline(prob, 1000, 2000, paths=20000, seed=7, store=1)
+    report = cost_identity_check(prob, table, batch)
     assert report.agreement_z is not None and report.agreement_z <= 3.0
     assert report.truncation_estimate < 10.0 * report.mc_stderr
+
+
+def test_cost_identity_backward_lq():
+    # G = F = 0 makes P1 and phi1 vanish on every node, so the augmented
+    # offset phitilde1 = -P1^-1 phi1 is zero and P1 is never inverted
+    prob = make_blq()
+    table, batch = pipeline(prob, 500, 1000, paths=4000, seed=5)
+    report = cost_identity_check(prob, table, batch)
+    assert report.agreement_z is not None and report.agreement_z <= 3.0
+
+
+def test_cost_identity_refuses_a_table_off_the_batch_grid():
+    prob = make_fully_coupled()
+    table, batch = pipeline(prob, 200, 400, paths=4, seed=9, store=1)
+    coarse = evaluate_gain_table(prob, integrate_direct(prob, EXACT, TimeGrid(prob.T, 200)))
+    with pytest.raises(DomainError):
+        cost_identity_check(prob, coarse, batch)
 
 
 def test_cost_identity_m5_integral_equals_per_node_sum():
     # the node-stacked M5 against one evaluation per node of the simulation grid
     prob = make_fully_coupled()
-    sol, batch = pipeline(prob, 200, 400, paths=4, seed=9, store=1)
-    report = cost_identity_check(prob, sol, batch)
+    sol = integrate_direct(prob, EXACT, TimeGrid(prob.T, 200))
+    table, batch = pipeline(prob, 200, 400, paths=4, seed=9, store=1)
+    report = cost_identity_check(prob, table, batch)
     grid = batch.grid
     _, last = grid.guard_node()
     vals = []
@@ -225,7 +242,7 @@ def test_cost_identity_m5_integral_equals_per_node_sum():
 
 def test_stationarity_residual_is_floating_point_noise():
     prob = make_fully_coupled()
-    sol, batch = pipeline(prob, 500, 1000, paths=64, seed=8, store=64)
+    table, batch = pipeline(prob, 500, 1000, paths=64, seed=8, store=64)
     smax, smean = stationarity_residual(prob, batch)
     assert smean <= 1e-6 + 10.0 * batch.grid.dt * coefficient_scale(prob)
     assert smax < 1e-10  # algebraically zero; only roundoff remains
@@ -233,7 +250,7 @@ def test_stationarity_residual_is_floating_point_noise():
 
 def test_stationarity_detects_perturbed_control():
     prob = make_fully_coupled()
-    sol, batch = pipeline(prob, 500, 500, paths=8, seed=9, store=8)
+    table, batch = pipeline(prob, 500, 500, paths=8, seed=9, store=8)
     batch.trajectories["u"] = batch.trajectories["u"] + 0.1
     smax, smean = stationarity_residual(prob, batch)
     d4 = float(prob.D4.value_at(0.0)[0, 0])
@@ -242,7 +259,7 @@ def test_stationarity_detects_perturbed_control():
 
 def test_decoupling_residual_zero_instance():
     prob = make_smoke()
-    sol, batch = pipeline(prob, 500, 500, paths=4, seed=10, store=4)
+    table, batch = pipeline(prob, 500, 500, paths=4, seed=10, store=4)
     dmax, dmean = decoupling_residual(batch, prob)
     assert dmax == 0.0
 
@@ -251,7 +268,7 @@ def test_decoupling_residual_exact_on_degenerate_loop():
     # on the indefinite example the closed loop keeps h, u, Y, Z all at zero,
     # so the backward reconstruction is exact
     prob = make_indefinite()
-    sol, batch = pipeline(prob, 4000, 4000, paths=16, seed=12, store=16)
+    table, batch = pipeline(prob, 4000, 4000, paths=16, seed=12, store=16)
     dmax, _ = decoupling_residual(batch, prob)
     assert dmax == 0.0
 
@@ -260,7 +277,7 @@ def test_decoupling_residual_halves_with_step():
     prob = make_partially_coupled()
     means = {}
     for steps in (4000, 8000):
-        sol, batch = pipeline(prob, steps, steps, paths=48, seed=12, store=48)
+        table, batch = pipeline(prob, steps, steps, paths=48, seed=12, store=48)
         _, means[steps] = decoupling_residual(batch, prob)
     assert means[8000] < 0.8 * means[4000]
 
@@ -293,7 +310,7 @@ def test_penalized_zero_perturbation_is_identity():
     ric, offset, cfg = penalized_setup(prob, 8, 500, 13, 200)
     base, zero = simulate_penalized_forward(
         ric, offset, [("synthesized",), ("perturbed", 0.0, np.array([1.0, 0.0]))],
-        prob, 8, cfg)
+        prob, cfg)
     assert np.array_equal(base.samples, zero.samples)
 
 
@@ -301,10 +318,10 @@ def test_penalized_batch_equals_single_runs():
     prob = make_partially_coupled()
     ric, offset, cfg = penalized_setup(prob, 8, 100, 18, 300)
     controls = probe_controls(19, prob.k + prob.m)
-    batch = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
+    batch = simulate_penalized_forward(ric, offset, controls, prob, cfg)
     assert len(batch) == len(controls)
     for control, cost in zip(controls, batch):
-        [single] = simulate_penalized_forward(ric, offset, [control], prob, 8, cfg)
+        [single] = simulate_penalized_forward(ric, offset, [control], prob, cfg)
         assert np.array_equal(cost.samples, single.samples)
         assert (cost.mean, cost.stderr) == (single.mean, single.stderr)
 
@@ -318,9 +335,9 @@ def test_penalized_batch_is_chunk_invariant():
                                (make_partially_coupled(), 299, 1)):
         ric, offset, cfg = penalized_setup(prob, 8, 100, 20, 300)
         controls = probe_controls(21, prob.k + prob.m)[:count]
-        full = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
+        full = simulate_penalized_forward(ric, offset, controls, prob, cfg)
         chunked = simulate_penalized_forward(
-            ric, offset, controls, prob, 8,
+            ric, offset, controls, prob,
             SimConfig(steps=cfg.steps, paths=cfg.paths, base_seed=cfg.base_seed,
                       store_paths=1, chunk=chunk))
         for a, b in zip(full, chunked):
@@ -334,7 +351,7 @@ def test_penalized_divergence_names_control_and_path():
     blowup = ("perturbed", 1.0, np.full((cfg.steps + 1, prob.k + prob.m), np.inf))
     with pytest.raises(DivergedError) as err:
         simulate_penalized_forward(ric, offset, [("synthesized",), blowup],
-                                   prob, 8, cfg)
+                                   prob, cfg)
     assert "control 1, path 0 at step" in str(err.value)
 
 
@@ -354,7 +371,7 @@ def test_penalized_cost_overflow_names_control_and_path():
     ric, offset, cfg = penalized_setup(prob, 8, 50, 22, 8)
     huge = ("perturbed", 1e300, np.ones(prob.k + prob.m))
     with pytest.raises(DivergedError) as err:
-        simulate_penalized_forward(ric, offset, [("synthesized",), huge], prob, 8, cfg)
+        simulate_penalized_forward(ric, offset, [("synthesized",), huge], prob, cfg)
     assert "cost of control 1, path 0 non-finite" in str(err.value)
 
 
@@ -376,7 +393,7 @@ def test_penalized_perturbations_never_win():
         d = rng.standard_normal(2)
         d /= np.linalg.norm(d)
         controls += [("perturbed", eps, d) for eps in (0.05, 0.2)]
-    base, *perturbed = simulate_penalized_forward(ric, offset, controls, prob, 8, cfg)
+    base, *perturbed = simulate_penalized_forward(ric, offset, controls, prob, cfg)
     for pert in perturbed:
         diff = pert.samples - base.samples
         stderr = np.std(diff, ddof=1) / np.sqrt(len(diff))
@@ -390,7 +407,7 @@ def test_penalized_gap_matches_quadratic_prediction():
     epsilons = (0.1, 0.2)
     base, *perturbed = simulate_penalized_forward(
         ric, offset, [("synthesized",)] + [("perturbed", eps, d) for eps in epsilons],
-        prob, 8, cfg)
+        prob, cfg)
     for eps, pert in zip(epsilons, perturbed):
         diff = pert.samples - base.samples
         stderr = float(np.std(diff, ddof=1) / np.sqrt(len(diff)))
@@ -413,7 +430,7 @@ def test_cost_reproducible_across_seeds():
 
 def test_stderr_scales_with_paths():
     prob = make_partially_coupled()
-    sol, small = pipeline(prob, 500, 500, paths=2000, seed=17, store=1)
+    table, small = pipeline(prob, 500, 500, paths=2000, seed=17, store=1)
     _, large = pipeline(prob, 500, 500, paths=8000, seed=17, store=1)
     r_small = evaluate_cost(prob, small)
     r_large = evaluate_cost(prob, large)

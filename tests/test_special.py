@@ -141,8 +141,8 @@ def test_deterministic_reference_vs_general_pipeline(grid2000):
     assert np.max(np.abs(P2.values - sol.P2.values)) < 1e-8
     assert np.max(np.abs(P3.values - sol.P3.values)) < 1e-8
     # gains against the synthesized law in (X, Y) coordinates
-    from fblq.feedback import synthesize
-    law = synthesize(prob, sol)
+    from fblq.feedback import evaluate_gain_table, synthesize
+    law = synthesize(evaluate_gain_table(prob, sol))
     upto = min(guard, law.guard_node) + 1
     assert np.max(np.abs(gain_X[:upto] - law.xy_gain_X[:upto])) < 1e-6
     assert np.max(np.abs(gain_Y[:upto] - law.xy_gain_Y[:upto])) < 1e-6
