@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,10 @@ def _load(args):
         raise PreconditionError(
             "grid does not place nodes at every coefficient breakpoint; "
             "choose --grid so T/steps divides each breakpoint")
+    failures = validate(problem, LEVEL_BOUNDED).failures()
+    if failures:   # the one gate of the bounded level, for every gridded command
+        raise PreconditionError("bounded-level validation failed: "
+                                + "; ".join(c.describe() for c in failures))
     return problem, grid
 
 
@@ -167,11 +171,6 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
     if method == "q":
         q = solve_q_equation(problem, grid)  # validates the strict level itself
         return None, {"q": q}
-    report = validate(problem, LEVEL_BOUNDED)
-    if not report.passed:
-        raise PreconditionError(
-            "bounded-level validation failed: "
-            + "; ".join(c.describe() for c in report.failures()))
     if method == "direct":
         index = EXACT if schedule == EXACT else int(schedule[0])
         return integrate_direct(problem, index, grid), {}
@@ -218,18 +217,8 @@ def cmd_solve(args) -> int:
                   gain_condition_trace(problem, sol, 65).tolist())
         if "diagnostics" in extras:
             diag = extras["diagnostics"]
-            payload = {
-                "schedule": list(diag.schedule),
-                "doubling_diffs": list(diag.doubling_diffs),
-                "consecutive_diffs": list(diag.consecutive_diffs),
-                "rate_exponent": diag.rate_exponent,
-                "converged": diag.converged,
-                "limit_distance": diag.limit_distance,
-                "p1_bound": diag.p1_bound,
-                "p2_bound": diag.p2_bound,
-                "p3_min_eig": diag.p3_min_eig,
-                "gain_cond_bound": diag.gain_cond_bound,
-            }
+            payload = {f.name: getattr(diag, f.name) for f in fields(diag)
+                       if f.name != "iterates"}
             _output(outdir, "limit_diagnostics.json", manifest).write_text(
                 json.dumps(payload, indent=2) + "\n", encoding="utf-8")
             if not diag.converged:
@@ -254,9 +243,6 @@ def cmd_simulate(args) -> int:
     if args.export_paths < 0:
         raise PreconditionError("--export-paths must be non-negative")
     problem, grid = _load(args)
-    report = validate(problem, LEVEL_BOUNDED)
-    if not report.passed:
-        raise PreconditionError("bounded-level validation failed")
     steps = args.steps
     if steps % grid.steps != 0:
         raise PreconditionError("--steps must be a multiple of --grid")
@@ -373,7 +359,8 @@ def _suite_monotone(problem, grid) -> list[SuiteCheck]:
 
 
 def _suite_rate(problem, grid) -> list[SuiteCheck]:
-    _, diag = iterate_limit(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64))
+    # tol = 0 sweeps the whole schedule, so the fit sees the asymptotic indices
+    _, diag = iterate_limit(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64), tol=0.0)
     rate = diag.rate_exponent if diag.rate_exponent is not None else 0.0
     return [SuiteCheck("rate", "fitted decay exponent", rate, -1.8, rate <= -1.8)]
 

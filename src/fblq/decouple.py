@@ -307,17 +307,9 @@ def _scalar_coeffs(s: CoeffSnapshot) -> tuple[float, ...]:
     return tuple(float(getattr(s, nm)[0, 0]) for nm in COEFF_NAMES)
 
 
-def _scalar_coeff_lookup(problem: FBLQProblem):
-    """t -> the sixteen coefficients as floats; a single piece skips the lookup."""
-    if len(problem.merged_breakpoints) == 1:
-        const = problem.derived(_scalar_coeffs, 0.0)
-        return lambda t: const
-    return lambda t: problem.derived(_scalar_coeffs, t)
-
-
 def _integrate_direct_scalar(problem: FBLQProblem, terminal_index,
                              grid: TimeGrid) -> DecoupledSolution:
-    coeff = _scalar_coeff_lookup(problem)
+    """odes.integrate_terminal's loop on floats: one lookup per step, at its midpoint."""
     N = grid.steps
     h = -grid.dt
     nodes = grid.nodes
@@ -332,13 +324,14 @@ def _integrate_direct_scalar(problem: FBLQProblem, terminal_index,
         t_half = t + 0.5 * h
         t_next = nodes[j - 1]
         y = state
-        k1 = _scalar_rhs(coeff(t), *y, t)
+        c = problem.derived(_scalar_coeffs, t_half)
+        k1 = _scalar_rhs(c, *y, t)
         y2 = [y[q] + 0.5 * h * k1[q] for q in range(5)]
-        k2 = _scalar_rhs(coeff(t_half), *y2, t_half)
+        k2 = _scalar_rhs(c, *y2, t_half)
         y3 = [y[q] + 0.5 * h * k2[q] for q in range(5)]
-        k3 = _scalar_rhs(coeff(t_half), *y3, t_half)
+        k3 = _scalar_rhs(c, *y3, t_half)
         y4 = [y[q] + h * k3[q] for q in range(5)]
-        k4 = _scalar_rhs(coeff(t_next), *y4, t_next)
+        k4 = _scalar_rhs(c, *y4, t_next)
         state = [y[q] + (h / 6.0) * (k1[q] + 2.0 * k2[q] + 2.0 * k3[q] + k4[q])
                  for q in range(5)]
         for val in state:
@@ -375,8 +368,7 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
         sols = [_integrate_direct_scalar(problem, i, grid) for i in indices]
         return sols if batched else sols[0]
 
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
+    def rhs(t, s, blocks):
         P1, P2, P3 = blocks["P1"], blocks["P2"], blocks["P3"]
         phi1, phi2 = blocks["phi1"], blocks["phi2"]
         g = _gains(s, P1, P2, P3, phi1, phi2)
@@ -396,6 +388,7 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
                   "P3": P3_T,
                   "phi1": np.zeros((*lead, n, *col)),
                   "phi2": np.broadcast_to(problem.xi.reshape(m, *col), (*lead, m, *col))},
+        coefficients=problem.snapshot,
         symmetric=frozenset({"P1", "P3"}),
     )
     paths = integrate_terminal(system, grid)
@@ -442,8 +435,7 @@ def check_transpose_consistency(problem: FBLQProblem, grid: TimeGrid,
     """
     n, m = problem.n, problem.m
 
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
+    def rhs(t, s, blocks):
         P1, P2, P3, Q = blocks["P1"], blocks["P2"], blocks["P3"], blocks["P2T"]
         g = _gains(s, P1, P2, P3)
         dP1, dP2, dP3 = _p_rhs(s, P1, P2, P3, g)
@@ -456,6 +448,7 @@ def check_transpose_consistency(problem: FBLQProblem, grid: TimeGrid,
         terminal={"P1": problem.G, "P2": problem.F,
                   "P3": _terminal_p3(problem, terminal_index),
                   "P2T": problem.F.T},
+        coefficients=problem.snapshot,
         symmetric=frozenset({"P1", "P3"}),
     )
     paths = integrate_terminal(system, grid)
@@ -520,8 +513,8 @@ class LimitDiagnostics:
     rate_exponent: float | None
     converged: bool
     limit_distance: float
-    p2_bound: float                    # max |P2_i| seen along the sweep
     p1_bound: float                    # max |P1_i| seen along the sweep
+    p2_bound: float                    # max |P2_i| seen along the sweep
     p3_min_eig: float                  # most negative eigenvalue of any P3_i
     gain_cond_bound: float             # worst condition of L1/L2/L5 over 33 nodes
     iterates: tuple = ()               # (index, DecoupledSolution) pairs
@@ -663,7 +656,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
         consecutive_diffs=tuple(consecutive), rate_exponent=rate,
         converged=converged,
         limit_distance=_solution_diff(iterates[-1][1], limit_sol),
-        p2_bound=p2_bound, p1_bound=p1_bound,
+        p1_bound=p1_bound, p2_bound=p2_bound,
         p3_min_eig=float(p3_min), gain_cond_bound=cond_bound,
         iterates=tuple(iterates),
     )
@@ -779,9 +772,8 @@ def solve_q_equation(problem: FBLQProblem, grid: TimeGrid) -> QSolution:
         M_inv, _ = gated_inverse(np.eye(d) - Q @ hb.C2, "I - Q*C2_blocks")
         return M_inv @ (Q @ hb.A2 + Q @ hb.B2 @ Q), M_inv @ (Q @ hb.B2), M_inv
 
-    def rhs(t, blocks):
+    def rhs(t, hb, blocks):
         Q, phi = blocks["Q"], blocks["phi"]
-        hb = hamiltonian_blocks(problem, t)
         K, J, _ = kji(hb, Q)
         dQ = -(Q @ hb.A1 + Q @ hb.B1 @ Q + Q @ hb.C1 @ K + hb.A3
                + hb.B3 @ Q + hb.C3 @ K)
@@ -793,6 +785,7 @@ def solve_q_equation(problem: FBLQProblem, grid: TimeGrid) -> QSolution:
         layout=(("Q", (d, d)), ("phi", (d,))),
         rhs=rhs,
         terminal={"Q": F_tilde, "phi": np.concatenate([np.zeros(n), problem.xi])},
+        coefficients=lambda t: hamiltonian_blocks(problem, t),
     )
     paths = integrate_terminal(system, grid)
     try:

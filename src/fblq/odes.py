@@ -7,9 +7,9 @@ stiff failure mode instead of adaptive stepping. Blocks tagged symmetric are
 replaced by their symmetric part after every step so roundoff asymmetry
 cannot accumulate.
 
-Piecewise-constant problem coefficients are evaluated at the RK stage times
-with the right-continuous convention (no smoothing across breakpoints);
-grids are expected to place nodes on coefficient breakpoints.
+Piecewise-constant coefficients are looked up once per step, at its midpoint,
+for all four stages: with nodes on the breakpoints that is the piece holding
+the whole step, so RK4 keeps its order. Lookup failures name the later node.
 """
 
 from __future__ import annotations
@@ -160,10 +160,11 @@ def interpolate(path: MatrixPath, t: float) -> np.ndarray:
 class OdeSystem:
     """A named-block ODE with terminal data.
 
-    ``layout`` orders the blocks; ``rhs(t, blocks) -> block time-derivatives``
-    must be pure and return one array per block with unchanged shape.
-    Blocks in ``symmetric`` are projected to their symmetric part after each
-    step and have their paths tagged symmetric.
+    ``layout`` orders the blocks. Each step calls ``coefficients`` once, at its
+    midpoint, and each stage ``rhs(t, c, blocks) -> block derivatives`` with
+    its stage time and that result; ``rhs`` must be pure and return one array
+    per block with unchanged shape. Blocks in ``symmetric`` are projected to
+    their symmetric part after each step and have their paths tagged symmetric.
 
     Terminal blocks may carry one leading batch axis of a common length B:
     the system then stands for B independent members integrated in one
@@ -171,8 +172,9 @@ class OdeSystem:
     """
 
     layout: tuple[tuple[str, tuple[int, ...]], ...]
-    rhs: Callable[[float, Blocks], Blocks]
+    rhs: Callable[[float, object, Blocks], Blocks]
     terminal: Blocks
+    coefficients: Callable[[float], object]
     symmetric: frozenset = frozenset()
 
     def __post_init__(self):
@@ -208,9 +210,10 @@ def _check_finite(blocks: Blocks, t_good: float, batched: bool):
             raise DivergedError(t_good, f"{where} exceeded {BLOWUP_LIMIT:.0e}")
 
 
-def _eval_rhs(system: OdeSystem, t: float, blocks: Blocks) -> Blocks:
+def _eval(fn, t: float, *args):
+    """``fn(*args)``, with a singular inverse or failed solve reported at ``t``."""
     try:
-        return system.rhs(t, blocks)
+        return fn(*args)
     except SingularCoefficientError as err:
         raise (err if err.time is not None else err.at_time(t)) from None
     except np.linalg.LinAlgError as err:
@@ -240,10 +243,11 @@ def integrate_terminal(system: OdeSystem, grid: TimeGrid):
         t = grid.nodes[j]
         t_half = t + 0.5 * h
         t_next = grid.nodes[j - 1]
-        k1 = _eval_rhs(system, t, state)
-        k2 = _eval_rhs(system, t_half, {n: state[n] + 0.5 * h * k1[n] for n in names})
-        k3 = _eval_rhs(system, t_half, {n: state[n] + 0.5 * h * k2[n] for n in names})
-        k4 = _eval_rhs(system, t_next, {n: state[n] + h * k3[n] for n in names})
+        c = _eval(system.coefficients, t, t_half)
+        k1 = _eval(system.rhs, t, t, c, state)
+        k2 = _eval(system.rhs, t_half, t_half, c, {n: state[n] + 0.5 * h * k1[n] for n in names})
+        k3 = _eval(system.rhs, t_half, t_half, c, {n: state[n] + 0.5 * h * k2[n] for n in names})
+        k4 = _eval(system.rhs, t_next, t_next, c, {n: state[n] + h * k3[n] for n in names})
         for n in names:
             nxt = state[n] + (h / 6.0) * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
             if n in system.symmetric:

@@ -110,19 +110,18 @@ def _pdot(s: AugSnapshot, P: np.ndarray, M1_inv: np.ndarray, M2: np.ndarray) -> 
     return -(P @ s.A + s.A.mT @ P + s.C.mT @ P @ s.C + s.Q - M2.mT @ M1_inv @ M2)
 
 
-def _riccati_stage(problem: FBLQProblem, t: float, P: np.ndarray):
-    """(snapshot, M1^-1, M2, Pdot) at one stage of the Riccati flow.
+def _riccati_stage(s: AugSnapshot, t: float, P: np.ndarray):
+    """(M1^-1, M2, Pdot) at one stage of the Riccati flow at time ``t``.
 
     The M1 side condition is checked before M1 is inverted, so a vanishing
     margin is reported as ConstraintViolatedError, not as a singular M1.
     """
-    s = augmented(problem, t)
     M1, M2, _, _ = _m_terms(s, P)
     low = min_eig_sym(M1)
     if low < M1_MARGIN:
         raise ConstraintViolatedError("M1 = R + D'PD", t, low)
     M1_inv, _ = gated_inverse(M1, "M1")
-    return s, M1_inv, M2, _pdot(s, P, M1_inv, M2)
+    return M1_inv, M2, _pdot(s, P, M1_inv, M2)
 
 
 @dataclass(frozen=True)
@@ -155,14 +154,15 @@ class RiccatiSolution:
 
 def _riccati_paths(problem: FBLQProblem, i: int, grid: TimeGrid, layout, rhs, terminal):
     """Integrate a system whose block "P" is the penalized Riccati flow for
-    index ``i``, next to the extra blocks of ``layout``; returns
-    (RiccatiSolution, every path by block name)."""
+    index ``i``, next to the extra blocks of ``layout``, on the augmented
+    blocks; returns (RiccatiSolution, every path by block name)."""
     if i < 1:
         raise DomainError("penalization index i must be >= 1")
     system = OdeSystem(
         layout=(("P", (problem.n + problem.m,) * 2), *layout),
         rhs=rhs,
         terminal={"P": penalized_terminal(problem, i), **terminal},
+        coefficients=lambda t: augmented(problem, t),
         symmetric=frozenset({"P"}),
     )
     paths = integrate_terminal(system, grid)
@@ -180,7 +180,7 @@ def solve_auxiliary_riccati(problem: FBLQProblem, i: int, grid: TimeGrid) -> Ric
     (this includes the terminal time itself) and DivergedError on blow-up.
     """
     return _riccati_paths(problem, i, grid, (),
-                          lambda t, blocks: {"P": _riccati_stage(problem, t, blocks["P"])[3]},
+                          lambda t, s, blocks: {"P": _riccati_stage(s, t, blocks["P"])[2]},
                           {})[0]
 
 
@@ -194,9 +194,9 @@ def solve_offset_tilde(problem: FBLQProblem, i: int,
     psi(T) = P(T)(0, xi); no stage needs P^-1. No stage of P reads psi, so
     the P path is bit for bit that of solve_auxiliary_riccati.
     """
-    def rhs(t, blocks):
+    def rhs(t, s, blocks):
         psi = blocks["psi"]
-        s, M1_inv, M2, Pdot = _riccati_stage(problem, t, blocks["P"])
+        M1_inv, M2, Pdot = _riccati_stage(s, t, blocks["P"])
         return {"P": Pdot, "psi": M2.mT @ (M1_inv @ (s.B.mT @ psi)) - s.A.mT @ psi}
 
     psi_T = penalized_terminal(problem, i) @ np.concatenate([np.zeros(problem.n), problem.xi])

@@ -80,8 +80,7 @@ def solve_lq_reference(problem: FBLQProblem, grid: TimeGrid) -> tuple[MatrixPath
     _require(problem, ReductionKind.INDEFINITE_LQ)
     n = problem.n
 
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
+    def rhs(t, s, blocks):
         P = blocks["P"]
         PA2 = P @ s.A2
         W = s.D4 + s.D2.T @ P @ s.D2
@@ -95,7 +94,7 @@ def solve_lq_reference(problem: FBLQProblem, grid: TimeGrid) -> tuple[MatrixPath
 
     system = OdeSystem(
         layout=(("P", (n, n)),), rhs=rhs, terminal={"P": problem.G},
-        symmetric=frozenset({"P"}),
+        coefficients=problem.snapshot, symmetric=frozenset({"P"}),
     )
     P_path = integrate_terminal(system, grid)["P"]
     s, P = problem.on_grid(grid), P_path.values
@@ -121,8 +120,7 @@ def solve_blq_reference(problem: FBLQProblem,
     _require(problem, ReductionKind.BLQ)
     m = problem.m
 
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
+    def rhs(t, s, blocks):
         Q4, phi2 = blocks["Q4"], blocks["phi2"]
         D4_inv, _ = gated_inverse(s.D4, "D4")
         lhs, _ = gated_inverse(np.eye(m) + Q4 @ s.C4, "I + Q4*C4")
@@ -135,6 +133,7 @@ def solve_blq_reference(problem: FBLQProblem,
         layout=(("Q4", (m, m)), ("phi2", (m,))),
         rhs=rhs,
         terminal={"Q4": np.zeros((m, m)), "phi2": problem.xi},
+        coefficients=problem.snapshot,
         symmetric=frozenset({"Q4"}),
     )
     paths = integrate_terminal(system, grid)
@@ -154,8 +153,7 @@ def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
     _require(problem, ReductionKind.DETERMINISTIC_FBLQ)
     n, m = problem.n, problem.m
 
-    def rhs(t, blocks):
-        s = problem.snapshot(t)
+    def rhs(t, s, blocks):
         P1, P2, P3 = blocks["P1"], blocks["P2"], blocks["P3"]
         D4_inv, _ = gated_inverse(s.D4, "D4")
         dP1 = -(P1 @ s.A1 + s.A1.T @ P1 + P1 @ s.B1 @ P2 + P2.T @ s.B1.T @ P1
@@ -172,6 +170,7 @@ def solve_deterministic_fblq_reference(problem: FBLQProblem, grid: TimeGrid,
         layout=(("P1", (n, n)), ("P2", (m, n)), ("P3", (m, m))),
         rhs=rhs,
         terminal={"P1": problem.G, "P2": problem.F, "P3": np.zeros((m, m))},
+        coefficients=problem.snapshot,
         symmetric=frozenset({"P1", "P3"}),
     )
     paths = integrate_terminal(system, grid)

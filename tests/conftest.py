@@ -9,6 +9,9 @@ The named instances are reused across modules:
                       strictly positive weights, nonzero terminal offset
 * ``fully_coupled`` - every channel active, strictly positive weights
 * ``smoke``         - zero dynamics with unit control weight, J = 2 exactly
+
+``deterministic_blocks`` is a step-free reference for the decoupling blocks
+of instances without diffusion terms, piecewise ones included.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fblq.model import CoefficientFunction, FBLQProblem
 from fblq.odes import TimeGrid
@@ -154,6 +158,56 @@ def piecewise_matrix_problem() -> FBLQProblem:
     return replace(prob,
                    A1=CoefficientFunction.piecewise([0.0, 0.5], [A1, -A1]),
                    D4=CoefficientFunction.piecewise([0.0, 0.25], [D4, 2.0 * D4]))
+
+
+def deterministic_blocks(problem: FBLQProblem, times) -> np.ndarray:
+    """The stacked block [[P1, P2'], [P2, -P3]] at each of ``times`` for an
+    instance without diffusion terms and the exact terminal P3(T) = 0.
+
+    Without diffusion the stacked block Q solves the Riccati equation
+    Q' = -(c + a'Q + Qa + QbQ) with
+    a = [[A1, -D1 D4^-1 D3'], [0, B3']], b = [[-D1 D4^-1 D1', B1], [B1', B4]],
+    c = [[A4, A3'], [A3, -D3 D4^-1 D3']].
+    By Radon's lemma Q = V U^-1, where [U; V]' = [[a, b], [-c, -a']] [U; V]
+    is linear (Reid, Riccati Differential Equations, 1972). On a constant
+    piece that flow is one matrix exponential; the pieces are chained
+    backward from [I; Q(T)], with no time steps.
+    """
+    n, m = problem.n, problem.m
+    d = n + m
+    bottoms = problem.merged_breakpoints
+    tops = [*bottoms[1:], problem.T]
+
+    def generator(p):
+        s = problem.snapshot(float(bottoms[p]))
+        D4_inv = np.linalg.inv(s.D4)
+        a = np.block([[s.A1, -s.D1 @ D4_inv @ s.D3.T], [np.zeros((m, n)), s.B3.T]])
+        b = np.block([[-s.D1 @ D4_inv @ s.D1.T, s.B1], [s.B1.T, s.B4]])
+        c = np.block([[s.A4, s.A3.T], [s.A3, -s.D3 @ D4_inv @ s.D3.T]])
+        return np.block([[a, b], [-c, -a.T]])
+
+    def carry(p, t, Q_top):   # Q(t) on piece p from Q at the top of the piece
+        UV = expm(generator(p) * (t - tops[p])) @ np.vstack([np.eye(d), Q_top])
+        return np.linalg.solve(UV[:d].T, UV[d:].T).T
+
+    Q_tops = [np.block([[problem.G, problem.F.T], [problem.F, np.zeros((m, m))]])]
+    for p in range(len(bottoms) - 1, 0, -1):
+        Q_tops.insert(0, carry(p, bottoms[p], Q_tops[0]))
+    pieces = np.searchsorted(bottoms, times, side="right") - 1
+    return np.array([carry(p, t, Q_tops[p]) for p, t in zip(pieces, times)])
+
+
+def piecewise_deterministic_problem() -> FBLQProblem:
+    """A 3x2x2 random instance without diffusion terms, with A1 switching at
+    0.25, B4 at 0.5 and D4 at 0.5 and 0.75."""
+    prob = random_matrix_problem(4471, 3, 2, 2)
+    zero = {c: CoefficientFunction.constant(np.zeros(getattr(prob, c).shape))
+            for c in ("C1", "A2", "B2", "C2", "D2", "C3", "C4")}
+    A1, B4, D4 = (getattr(prob, c).values[0] for c in ("A1", "B4", "D4"))
+    return replace(prob, xi=np.zeros(2), **zero,
+                   A1=CoefficientFunction.piecewise([0.0, 0.25], [A1, -A1]),
+                   B4=CoefficientFunction.piecewise([0.0, 0.5], [B4, 0.5 * B4]),
+                   D4=CoefficientFunction.piecewise([0.0, 0.5, 0.75], [D4, 2.0 * D4, 0.7 * D4]))
 
 
 @pytest.fixture(scope="session")

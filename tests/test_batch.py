@@ -95,25 +95,28 @@ def test_sym_on_stack_is_per_member():
 
 def test_batched_integrator_names_diverging_member():
     # p' = -p^2 backward from p(T) = c blows up at t = T - 1/c, only for c > 1
-    system = OdeSystem(layout=(("p", (1, 1)),), rhs=lambda t, b: {"p": -(b["p"] @ b["p"])},
-                       terminal={"p": np.array([[[0.5]], [[4.0]], [[0.2]]])})
+    system = OdeSystem(layout=(("p", (1, 1)),), rhs=lambda t, c, b: {"p": -(b["p"] @ b["p"])},
+                       terminal={"p": np.array([[[0.5]], [[4.0]], [[0.2]]])},
+                       coefficients=lambda t: None)
     with pytest.raises(DivergedError, match="block p of member 1 exceeded"):
         integrate_terminal(system, TimeGrid(1.0, 1000))
 
 
 def test_batched_integrator_members_match_single_runs():
-    def rhs(t, b):
+    def rhs(t, c, b):
         return {"M": -(b["M"] @ b["M"].mT) + np.eye(2), "v": b["M"] @ b["v"]}
     terminals = np.array([[[1.0, 0.2], [0.2, 0.5]], [[0.3, -0.4], [-0.4, 0.9]]])
     vecs = np.array([[[1.0], [2.0]], [[-1.0], [0.5]]])
     batch = integrate_terminal(
         OdeSystem(layout=(("M", (2, 2)), ("v", (2, 1))), rhs=rhs,
-                  terminal={"M": terminals, "v": vecs}, symmetric=frozenset({"M"})),
+                  terminal={"M": terminals, "v": vecs}, coefficients=lambda t: None,
+                  symmetric=frozenset({"M"})),
         TimeGrid(1.0, 50))
     for b in range(2):
         single = integrate_terminal(
             OdeSystem(layout=(("M", (2, 2)), ("v", (2, 1))), rhs=rhs,
-                      terminal={"M": terminals[b], "v": vecs[b]}, symmetric=frozenset({"M"})),
+                      terminal={"M": terminals[b], "v": vecs[b]},
+                      coefficients=lambda t: None, symmetric=frozenset({"M"})),
             TimeGrid(1.0, 50))
         for name in ("M", "v"):
             assert batch[b][name].symmetry == single[name].symmetry
@@ -123,8 +126,9 @@ def test_batched_integrator_members_match_single_runs():
 
 def test_batch_terminal_shapes_must_agree():
     with pytest.raises(ValueError):
-        OdeSystem(layout=(("a", (1, 1)), ("b", (1, 1))), rhs=lambda t, b: b,
-                  terminal={"a": np.zeros((2, 1, 1)), "b": np.zeros((3, 1, 1))})
+        OdeSystem(layout=(("a", (1, 1)), ("b", (1, 1))), rhs=lambda t, c, b: b,
+                  terminal={"a": np.zeros((2, 1, 1)), "b": np.zeros((3, 1, 1))},
+                  coefficients=lambda t: None)
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

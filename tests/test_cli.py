@@ -292,6 +292,38 @@ def test_verify_all_skips_identities_below_the_strict_level(tmp_path):
     assert any("identities suite skipped" in note for note in manifest["notes"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "--method", "q"],
+    ["simulate", "--steps", "10", "--paths", "8"],
+    ["verify", "--suite", "monotone"],
+    ["verify", "--paths", "8"],
+])
+def test_gridded_commands_refuse_a_file_below_the_bounded_level(tmp_path, argv, capsys):
+    # an asymmetric G fails the bounded level; verify used to crash on it
+    # with a ValueError from the symmetric P1 path
+    path = tmp_path / "asymmetric_G.yaml"
+    path.write_text(yaml.safe_dump({
+        "dimensions": {"n": 2, "m": 1, "k": 1}, "horizon": 1.0,
+        "G": [[1.0, 0.3], [0.0, 1.0]], "coefficients": {"D4": [[1.0]]}}))
+    command, *options = argv
+    assert run(tmp_path / "out", command, str(path), "--grid", "10", *options) == 2
+    err = capsys.readouterr().err
+    assert "precondition failed: bounded-level validation failed: [FAIL] G symmetric" in err
+
+
+@pytest.mark.parametrize("name", ["allzero_smoke", "forward_lq", "indefinite_weight_example",
+                                  "piecewise_demo"])
+def test_verify_rate_fits_the_whole_schedule(tmp_path, name):
+    # on these files the sweep's stop rule fires at i = 2; the rate suite
+    # must still fit the trailing half of the whole schedule
+    code = run(tmp_path, "verify", str(PROBLEMS / f"{name}.yaml"),
+               "--suite", "rate", "--grid", "100")
+    assert code == 0
+    (row,) = json.loads((tmp_path / "verify_report.json").read_text())
+    assert row["measured"] <= -1.8
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "simulate", "verify"])
 def test_threads_option_rejected(tmp_path, command):
     with pytest.raises(SystemExit) as err:

@@ -1,8 +1,12 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import (
+    deterministic_blocks,
     make_blq,
     make_fully_coupled,
     make_indefinite,
@@ -10,6 +14,7 @@ from conftest import (
     make_n2_problem,
     make_partially_coupled,
     make_smoke,
+    piecewise_deterministic_problem,
     random_matrix_problem,
     random_scalar_problem,
 )
@@ -27,10 +32,13 @@ from fblq.decouple import (
 )
 from fblq.errors import DomainError, PreconditionError, SingularCoefficientError
 from fblq.linalg import min_eig_sym
-from fblq.model import FBLQProblem
+from fblq.model import CoefficientFunction, FBLQProblem
 from fblq.odes import TimeGrid
+from fblq.problem_io import load_problem
 from fblq.riccati import solve_auxiliary_riccati, solve_offset_tilde
 from fblq.special import solve_blq_reference
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def solution_gap(a: DecoupledSolution, b: DecoupledSolution) -> dict:
@@ -109,6 +117,41 @@ def test_direct_zero_dynamics(grid1000):
     assert sol.source.label() == "direct(exact)"
 
 
+def _demo_switching_at_a_tenth():
+    # on grids of 70 * 2^k steps the node meant to sit on t = 0.1 rounds to
+    # 0.09999999999999999, just below the breakpoint
+    prob = load_problem(PROBLEMS / "piecewise_demo.yaml")
+    return replace(prob, D4=CoefficientFunction.piecewise([0.0, 0.1], [[[1.0]], [[0.6]]]))
+
+
+ORACLE_INSTANCES = {   # name -> (instance, coarsest grid)
+    "piecewise_demo": (lambda: load_problem(PROBLEMS / "piecewise_demo.yaml"), 20),
+    "deterministic_coupled": (lambda: load_problem(PROBLEMS / "deterministic_coupled.yaml"), 20),
+    "piecewise_3x2x2": (piecewise_deterministic_problem, 20),
+    "node_below_breakpoint": (_demo_switching_at_a_tenth, 70),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_INSTANCES))
+def test_direct_route_is_fourth_order_against_the_step_free_oracle(name):
+    # the scalar loop (1x1x1 instances) and the generic integrator (3x2x2)
+    # keep RK4's order across breakpoints: every step sees its own piece
+    make, coarsest = ORACLE_INSTANCES[name]
+    prob = make()
+    n = prob.n
+    errors = []
+    for steps in (coarsest, 2 * coarsest, 4 * coarsest, 8 * coarsest):
+        grid = TimeGrid(prob.T, steps)
+        assert grid.aligns_with(prob.merged_breakpoints)
+        sol = integrate_direct(prob, EXACT, grid)
+        ref = deterministic_blocks(prob, grid.nodes)
+        errors.append(max(np.max(np.abs(sol.P1.values - ref[:, :n, :n])),
+                          np.max(np.abs(sol.P2.values - ref[:, n:, :n])),
+                          np.max(np.abs(sol.P3.values + ref[:, n:, n:]))))
+    ratios = [a / b for a, b in zip(errors, errors[1:])]
+    assert min(ratios) >= 12.0, (errors, ratios)
+
+
 def test_scalar_fast_path_matches_generic_blocks(grid1000):
     # same instance solved through the scalar fused path and through the
     # generic block machinery used for matrix dimensions
@@ -118,8 +161,7 @@ def test_scalar_fast_path_matches_generic_blocks(grid1000):
     from fblq.decouple import _gains, _p_rhs, _phi_rhs, _terminal_p3
     from fblq.odes import OdeSystem, integrate_terminal
 
-    def rhs(t, blocks):
-        s = prob.snapshot(t)
+    def rhs(t, s, blocks):
         g = _gains(s, blocks["P1"], blocks["P2"], blocks["P3"],
                    blocks["phi1"], blocks["phi2"])
         dP1, dP2, dP3 = _p_rhs(s, blocks["P1"], blocks["P2"], blocks["P3"], g)
@@ -133,6 +175,7 @@ def test_scalar_fast_path_matches_generic_blocks(grid1000):
         rhs=rhs,
         terminal={"P1": prob.G, "P2": prob.F, "P3": _terminal_p3(prob, 4),
                   "phi1": np.zeros(1), "phi2": prob.xi},
+        coefficients=prob.snapshot,
         symmetric=frozenset({"P1", "P3"}))
     generic = integrate_terminal(system, grid1000)
     for name in ("P1", "P2", "P3", "phi1", "phi2"):

@@ -24,8 +24,9 @@ TANH_AT_ZERO = math.tanh(1.0)
 def scalar_system(rhs, terminal):
     return OdeSystem(
         layout=(("p", (1, 1)),),
-        rhs=lambda t, b: {"p": rhs(t, b["p"])},
+        rhs=lambda t, c, b: {"p": rhs(t, b["p"])},
         terminal={"p": np.array([[terminal]])},
+        coefficients=lambda t: None,
     )
 
 
@@ -65,8 +66,9 @@ def test_backward_blowup_detected():
                                          (np.inf, "non-finite"),
                                          (1e300, "exceeded")])
 def test_nonfinite_and_blowup_terminal_named(bad, reason):
-    system = OdeSystem(layout=(("p", (2, 2)),), rhs=lambda t, b: b,
-                       terminal={"p": np.array([[1.0, 0.0], [0.0, bad]])})
+    system = OdeSystem(layout=(("p", (2, 2)),), rhs=lambda t, c, b: b,
+                       terminal={"p": np.array([[1.0, 0.0], [0.0, bad]])},
+                       coefficients=lambda t: None)
     with pytest.raises(DivergedError, match=reason):
         integrate_terminal(system, TimeGrid(1.0, 4))
 
@@ -104,8 +106,8 @@ def test_stacked_min_eig_matches_each_member(d, members, entries):
 def test_rhs_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         OdeSystem(layout=(("p", (2, 2)),),
-                  rhs=lambda t, b: b,
-                  terminal={"p": np.zeros((1, 1))})
+                  rhs=lambda t, c, b: b,
+                  terminal={"p": np.zeros((1, 1))}, coefficients=lambda t: None)
 
 
 def test_integration_is_deterministic():
@@ -118,12 +120,12 @@ def test_integration_is_deterministic():
 def test_symmetrization_of_already_symmetric_state_is_identity():
     terminal = np.array([[2.0, 0.5], [0.5, 1.0]])
 
-    def rhs(t, blocks):
+    def rhs(t, c, blocks):
         m = blocks["M"]
         return {"M": -(m + m.T)}  # symmetric derivative
 
-    system = OdeSystem(layout=(("M", (2, 2)),), rhs=rhs,
-                       terminal={"M": terminal}, symmetric=frozenset({"M"}))
+    system = OdeSystem(layout=(("M", (2, 2)),), rhs=rhs, terminal={"M": terminal},
+                       coefficients=lambda t: None, symmetric=frozenset({"M"}))
     path = integrate_terminal(system, TimeGrid(1.0, 64))["M"]
     assert np.max(np.abs(path.values - path.values.transpose(0, 2, 1))) == 0.0
 
