@@ -44,6 +44,7 @@ from .decouple import (
     integrate_direct,
     iterate_limit,
     solve_q_equation,
+    sweep_indices,
     transform_from_riccati,
 )
 from .errors import (
@@ -60,6 +61,7 @@ from .linalg import min_eig_sym
 from .mc import (
     SimConfig,
     cost_identity_check,
+    mean_stderr,
     simulate_closed_loop,
     simulate_penalized_forward,
     stationarity_residual,
@@ -81,6 +83,8 @@ EXIT_PARSE = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
+
+SWEEP = (1, 2, 4, 8, 16, 32, 64)   # the monotone and rate suites' schedule
 
 
 @dataclass
@@ -171,13 +175,14 @@ def _solve_pipeline(problem, grid, method: str, schedule, tol: float):
     if method == "q":
         q = solve_q_equation(problem, grid)  # validates the strict level itself
         return None, {"q": q}
+    if method in ("direct", "riccati") and schedule != EXACT and len(schedule) != 1:
+        raise DomainError(f"--method {method} takes one --schedule entry, got {len(schedule)}")
     if method == "direct":
-        index = EXACT if schedule == EXACT else int(schedule[0])
-        return integrate_direct(problem, index, grid), {}
+        return integrate_direct(problem, schedule if schedule == EXACT else schedule[0], grid), {}
     if method == "riccati":
         if schedule == EXACT:
             raise DomainError("--method riccati needs a finite penalization index")
-        ric, psi = solve_offset_tilde(problem, int(schedule[0]), grid)
+        ric, psi = solve_offset_tilde(problem, schedule[0], grid)
         return transform_from_riccati(ric, psi), {"riccati": ric}
     if method == "limit":
         if schedule == EXACT:
@@ -246,9 +251,10 @@ def cmd_simulate(args) -> int:
     steps = args.steps
     if steps % grid.steps != 0:
         raise PreconditionError("--steps must be a multiple of --grid")
-    sol = integrate_direct(problem, EXACT, grid)
+    strict = validate(problem, LEVEL_STRICT).passed
+    solve = direct_solver(problem, [EXACT, 4] if strict else [EXACT], grid)
     sim_grid = TimeGrid(problem.T, steps)
-    table = evaluate_gain_table(problem, sol, sim_grid)
+    table = evaluate_gain_table(problem, solve(EXACT), sim_grid)
     law = synthesize(table, xy_form=False)
     sys_cl = closed_loop_coefficients(problem, table)
     batch = simulate_closed_loop(problem, sys_cl, cfg)
@@ -276,10 +282,10 @@ def cmd_simulate(args) -> int:
 
     payload = cost.as_dict()
     payload.update({"stationarity_max": stat_max, "stationarity_mean": stat_mean})
-    if validate(problem, LEVEL_STRICT).passed:
+    if strict:
         try:
             payload["identity_max_residual"] = _identity_residual(
-                problem, grid, np.linspace(0.0, problem.T, 5))
+                problem, grid, np.linspace(0.0, problem.T, 5), solve)
         except FBLQError as err:
             manifest.notes.append(f"identity summary skipped: {err}")
     else:
@@ -327,27 +333,25 @@ class SuiteCheck:
                 f"{self.measured:.3e} ({self.op} {self.threshold:.1e})")
 
 
-def _identity_residual(problem, grid, times) -> float:
-    """Largest counted identity residual of the i = 4 direct and Riccati
-    solves over ``times``; the problem must pass the strict level."""
-    sol = integrate_direct(problem, 4, grid)
+def _identity_residual(problem, grid, times, solve) -> float:
+    """Largest counted identity residual over ``times`` of the i = 4 direct
+    solve, read from the command's store ``solve``, and the i = 4 Riccati
+    solve; the problem must pass the strict level."""
     ric = solve_auxiliary_riccati(problem, 4, grid)
-    return max(identity_suite(problem, sol, ric, float(t)).max_counted_residual
+    return max(identity_suite(problem, solve(4), ric, float(t)).max_counted_residual
                for t in times)
 
 
-def _suite_identities(problem, grid, rng) -> list[SuiteCheck]:
+def _suite_identities(problem, grid, rng, solve) -> list[SuiteCheck]:
     times = rng.uniform(0.0, problem.T, size=20)
-    worst = _identity_residual(problem, grid, times)
+    worst = _identity_residual(problem, grid, times, solve)
     return [SuiteCheck("identities", f"max residual over {len(times)} times", worst, 1e-8,
                        worst <= 1e-8)]
 
 
-def _suite_monotone(problem, grid) -> list[SuiteCheck]:
-    schedule = (1, 2, 4, 8, 16, 32, 64)
-    solve = direct_solver(problem, schedule, grid)
-    P1 = np.stack([solve(i).P1.values for i in schedule])   # (iterate, node, n, n)
-    P3 = np.stack([solve(i).P3.values for i in schedule])
+def _suite_monotone(solve) -> list[SuiteCheck]:
+    P1 = np.stack([solve(i).P1.values for i in SWEEP])   # (iterate, node, n, n)
+    P3 = np.stack([solve(i).P3.values for i in SWEEP])
 
     def worst(blocks):   # smallest eigenvalue over every iterate and node
         return float(min_eig_sym(blocks.reshape(-1, *blocks.shape[2:])).min())
@@ -358,18 +362,18 @@ def _suite_monotone(problem, grid) -> list[SuiteCheck]:
             for name, value in margins]
 
 
-def _suite_rate(problem, grid) -> list[SuiteCheck]:
+def _suite_rate(problem, grid, solve) -> list[SuiteCheck]:
     # tol = 0 sweeps the whole schedule, so the fit sees the asymptotic indices
-    _, diag = iterate_limit(problem, grid, schedule=(1, 2, 4, 8, 16, 32, 64), tol=0.0)
+    _, diag = iterate_limit(problem, grid, schedule=SWEEP, tol=0.0, solve=solve)
     rate = diag.rate_exponent if diag.rate_exponent is not None else 0.0
     return [SuiteCheck("rate", "fitted decay exponent", rate, -1.8, rate <= -1.8)]
 
 
-def _suite_special(problem, grid) -> list[SuiteCheck]:
+def _suite_special(problem, grid, solve) -> list[SuiteCheck]:
     kind = is_reduction(problem)
     if kind is None:
         raise PreconditionError("instance matches no degenerate family")
-    sol = integrate_direct(problem, EXACT, grid)
+    sol = solve(EXACT)
     checks = []
     if kind is ReductionKind.INDEFINITE_LQ:
         P_ref, _ = solve_lq_reference(problem, grid)
@@ -410,10 +414,7 @@ def _suite_optimality(problem, grid, cfg: SimConfig) -> list[SuiteCheck]:
     for first in range(0, len(perturbed), len(epsilons)):
         gaps = {}
         for eps, pert in zip(epsilons, perturbed[first:first + len(epsilons)]):
-            diff = pert.samples - base.samples
-            mean = float(np.mean(diff))
-            stderr = float(np.std(diff, ddof=1) / np.sqrt(cfg.paths)) if cfg.paths > 1 else 0.0
-            gaps[eps] = (mean, stderr)
+            mean, stderr = gaps[eps] = mean_stderr(pert.samples - base.samples)
             z = -mean / stderr if stderr > 0 else (0.0 if mean >= 0 else np.inf)
             worst_z = max(worst_z, z)
         for eps in (0.05, 0.1):
@@ -443,23 +444,28 @@ def cmd_verify(args) -> int:
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     checks: list[SuiteCheck] = []
     wanted = args.suite
+    strict = wanted in ("identities", "all") and validate(problem, LEVEL_STRICT).passed
+    reads = {"identities": [4] if strict else [], "monotone": SWEEP,
+             "rate": sweep_indices(SWEEP), "special": [EXACT]}   # what each suite solves
+    solve = direct_solver(problem, [i for suite, indices in reads.items()
+                                    if wanted in (suite, "all") for i in indices], grid)
     if wanted in ("identities", "all"):
-        if validate(problem, LEVEL_STRICT).passed:
-            checks += _suite_identities(problem, grid, rng)
+        if strict:
+            checks += _suite_identities(problem, grid, rng, solve)
         elif wanted == "all":
             manifest.notes.append(
                 "identities suite skipped: control weights not strictly positive")
         else:
             raise PreconditionError("identities suite needs strictly positive control weights")
     if wanted in ("monotone", "all"):
-        checks += _suite_monotone(problem, grid)
+        checks += _suite_monotone(solve)
     if wanted in ("rate", "all"):
-        checks += _suite_rate(problem, grid)
+        checks += _suite_rate(problem, grid, solve)
     if wanted in ("special", "all"):
         if wanted == "all" and is_reduction(problem) is None:
             manifest.notes.append("special suite skipped: no degenerate pattern")
         else:
-            checks += _suite_special(problem, grid)
+            checks += _suite_special(problem, grid, solve)
     if wanted in ("optimality", "all"):
         checks += _suite_optimality(problem, grid, cfg)
     lines = [c.row() for c in checks]

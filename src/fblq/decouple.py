@@ -43,13 +43,7 @@ from .errors import (
 )
 from .linalg import frozen, gated_inverse, min_eig_sym, node_inverse, sym
 from .model import COEFF_NAMES, LEVEL_STRICT, CoeffSnapshot, FBLQProblem, eval_coeffs, validate
-from .riccati import (
-    RiccatiSolution,
-    augmented,
-    m5_from_terms,
-    m_coefficients,
-    solve_offset_tilde,
-)
+from .riccati import RiccatiSolution, augmented, m5_from_terms, m_coefficients
 from .odes import MatrixPath, OdeSystem, TimeGrid, integrate_terminal
 
 EXACT = "exact"
@@ -400,7 +394,8 @@ def integrate_direct(problem: FBLQProblem, terminal_index, grid: TimeGrid):
 
 
 def direct_solver(problem: FBLQProblem, indices, grid: TimeGrid):
-    """``solve(index)`` for a sweep over ``indices``, batched where it can be.
+    """``solve(index)`` over ``indices``, batched where it can be: the one
+    store of direct solves that every reader in a command shares.
 
     Generic instances integrate every index in one batched call up front.
     If any member fails, or the instance is scalar, each index is solved on
@@ -577,22 +572,24 @@ def fit_rate_exponent(indices, diffs) -> float | None:
     return float(np.polyfit(x, y, 1)[0])
 
 
+def sweep_indices(schedule) -> list:
+    """Every index a penalization sweep over ``schedule`` reads: the schedule,
+    the i+1 companion of each entry, and the exact-terminal solve."""
+    return [*schedule, *(i + 1 for i in schedule), EXACT]
+
+
 def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
-                  tol: float = DEFAULT_LIMIT_TOL, method: str = "direct",
-                  measure_rate: bool = True):
+                  tol: float = DEFAULT_LIMIT_TOL, solve=None):
     """Penalization sweep around the exact-terminal limit solve.
 
-    Runs per-index solves along the geometric ``schedule`` ("direct"
-    integrates the block system with terminal P3 = I/i, "riccati" solves the
-    augmented problem and transforms), recording monotonicity and
-    convergence diagnostics, and returns ``(solution, diagnostics)``.
-
-    With "direct" on a generic instance the whole schedule, its i+1
-    companions and the exact-terminal solve are integrated up front as one
-    batch; the comparison loop then runs over the ready iterates and
-    truncates at the first converged pair, exactly as a one-index-at-a-time
-    sweep would. If any batch member fails, the sweep solves one index at a
-    time instead, so only a consumed index can raise (see direct_solver).
+    Reads the iterates along the geometric ``schedule``, their i+1
+    companions and the exact-terminal solve through ``solve(index)``,
+    recording monotonicity and convergence diagnostics, and returns
+    ``(solution, diagnostics)``. ``solve`` defaults to a direct_solver over
+    sweep_indices(schedule): on a generic instance those are integrated up
+    front as one batch, and if any member fails only a consumed index can
+    raise. The comparison loop truncates at the first converged pair,
+    exactly as a one-index-at-a-time sweep would.
 
     The returned solution is the exact-terminal integration (P3(T) = 0): the
     block equations are regular there and every finite-index iterate carries
@@ -606,21 +603,7 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     schedule = tuple(int(i) for i in (schedule or DEFAULT_SCHEDULE))
     if any(i < 1 for i in schedule) or any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be strictly increasing positive indices")
-    if method not in ("direct", "riccati"):
-        raise DomainError(f"unknown limit method {method!r}")
-
-    companions = [i + 1 for i in schedule] if measure_rate else []
-    direct = direct_solver(
-        problem, [*schedule, *companions, EXACT] if method == "direct" else [EXACT], grid)
-    if method == "direct":
-        solve_one = direct
-    else:
-        cache: dict[int, DecoupledSolution] = {}
-
-        def solve_one(i: int) -> DecoupledSolution:
-            if i not in cache:
-                cache[i] = transform_from_riccati(*solve_offset_tilde(problem, i, grid))
-            return cache[i]
+    solve = solve or direct_solver(problem, sweep_indices(schedule), grid)
 
     iterates: list[tuple[int, DecoupledSolution]] = []
     doubling: list[float] = []
@@ -631,15 +614,14 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
     converged = False
     prev: tuple[int, DecoupledSolution] | None = None
     for i in schedule:
-        cur = solve_one(i)
+        cur = solve(i)
         iterates.append((i, cur))
         p2_bound = max(p2_bound, float(np.max(np.abs(cur.P2.values))))
         p1_bound = max(p1_bound, float(np.max(np.abs(cur.P1.values))))
         p3_min = min(p3_min, float(min_eig_sym(cur.P3.values).min()))
         conds = gain_condition_trace(problem, cur, 33)[:, 1:]
         cond_bound = max(cond_bound, float(conds.max()))
-        if measure_rate:
-            consecutive.append(_solution_diff(cur, solve_one(i + 1)))
+        consecutive.append(_solution_diff(cur, solve(i + 1)))
         if prev is not None:
             doubling.append(_solution_diff(prev[1], cur, debias=(prev[0], i)))
             if doubling[-1] < tol:
@@ -648,9 +630,9 @@ def iterate_limit(problem: FBLQProblem, grid: TimeGrid, schedule=None,
         prev = (i, cur)
 
     used = tuple(i for i, _ in iterates)
-    rate = fit_rate_exponent(used[:len(consecutive)], consecutive)
+    rate = fit_rate_exponent(used, consecutive)
     source = SolutionSource("limit", index=used[-1], tol=tol, i_max=schedule[-1])
-    limit_sol = replace(direct(EXACT), source=source)
+    limit_sol = replace(solve(EXACT), source=source)
     diagnostics = LimitDiagnostics(
         schedule=used, doubling_diffs=tuple(doubling),
         consecutive_diffs=tuple(consecutive), rate_exponent=rate,

@@ -188,8 +188,9 @@ class CostReport:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-def _mean_stderr(samples: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(samples))
+def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error (ddof = 1; 0.0 for one sample)."""
+    mean =float(np.mean(samples))
     if samples.size > 1:
         stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
     else:
@@ -205,7 +206,7 @@ def evaluate_cost(problem: FBLQProblem, batch: SimBatch, recompute: bool = False
     during simulation. Both apply the same trapezoidal quadrature.
     """
     if not recompute:
-        mean, stderr = _mean_stderr(batch.cost_samples)
+        mean, stderr = mean_stderr(batch.cost_samples)
         return CostReport(mean, stderr)
     if batch.stored < batch.n_paths:
         raise PreconditionError("recompute requires every path stored")
@@ -219,7 +220,7 @@ def evaluate_cost(problem: FBLQProblem, batch: SimBatch, recompute: bool = False
     integral = np.trapezoid(q, dx=grid.dt, axis=1)
     terminal = np.einsum("pi,ij,pj->p", tr["X"][:, -1], problem.G, tr["X"][:, -1])
     initial = np.einsum("pi,ij,pj->p", tr["Y"][:, 0], problem.H, tr["Y"][:, 0])
-    mean, stderr = _mean_stderr(0.5 * (integral + terminal + initial))
+    mean, stderr = mean_stderr(0.5 * (integral + terminal + initial))
     return CostReport(mean, stderr)
 
 
@@ -442,7 +443,7 @@ def simulate_penalized_forward(riccati_i: RiccatiSolution, psi: MatrixPath, cont
             c, bad = divmod(int(np.argmin(np.isfinite(cost))), width)
             raise DivergedError(float(grid.T), f"cost of control {c}, path {p0 + bad} non-finite")
         samples[:, p0:p0 + cnum] = cost.reshape(nc, width)[:, :cnum]
-    return [PenalizedCost(*_mean_stderr(row), row) for row in samples]
+    return [PenalizedCost(*mean_stderr(row), row) for row in samples]
 
 
 def penalized_gap_prediction(riccati_i: RiccatiSolution, eps: float, delta,

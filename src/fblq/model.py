@@ -26,6 +26,7 @@ from .linalg import as_matrix, as_vector, asymmetry, frozen, max_abs, min_eig_sy
 SYMMETRY_TOL = 1e-9
 PSD_EIG_TOL = -1e-10   # semidefinite: smallest eigenvalue above this
 PD_EIG_TOL = 1e-8      # definite: smallest eigenvalue above this
+NODE_TOL = 1e-12       # times this close, relative to max(1, T), coincide
 
 LEVEL_BOUNDED = "bounded"
 LEVEL_POSITIVE = "positive"
@@ -57,6 +58,9 @@ def active_piece(breakpoints: np.ndarray, t):
     right-continuous, and the last piece runs through the horizon.
 
     This is the one piece rule; every coefficient lookup goes through it.
+    A problem's lookups (FBLQProblem.derived) first move ``t`` up by
+    NODE_TOL * max(1, T), so a grid node that rounds just below a
+    breakpoint reads the piece that starts there.
     """
     if isinstance(t, np.ndarray):
         return np.maximum(np.searchsorted(breakpoints, t, side="right") - 1, 0)
@@ -258,7 +262,7 @@ class FBLQProblem:
         built in time order, and a SingularCoefficientError is reported at
         the first time in the failing piece.
         """
-        idx = active_piece(self.merged_breakpoints, t)
+        idx = active_piece(self.merged_breakpoints, t + NODE_TOL * max(1.0, self.T))
         if not isinstance(t, np.ndarray):
             return self._built(build, idx)
         used, where = np.unique(idx, return_inverse=True)

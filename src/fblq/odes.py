@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DivergedError, DomainError, SingularCoefficientError
 from .linalg import frozen, sym
+from .model import NODE_TOL
 
 BLOWUP_LIMIT = 1e12
 DEFAULT_STEPS = 2000
@@ -62,12 +63,12 @@ class TimeGrid:
         return TimeGrid(self.T, self.steps * factor)
 
     def aligns_with(self, times: np.ndarray) -> bool:
-        """True when every time in ``times`` falls on a node (within 1e-12
+        """True when every time in ``times`` falls on a node (within NODE_TOL
         relative to max(1, T))."""
         if len(times) == 0:
             return True
         j = np.rint(np.asarray(times) / self.dt)
-        return bool(np.all(np.abs(np.asarray(times) - j * self.dt) <= 1e-12 * max(1.0, self.T)))
+        return bool(np.all(np.abs(np.asarray(times) - j * self.dt) <= NODE_TOL * max(1.0, self.T)))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,17 @@ rounding level, and a failing member must never change what the user sees:
 the sweep then falls back to solving one index at a time.
 """
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fblq.cli as cli
 import fblq.decouple as decouple
 from conftest import make_partially_coupled, piecewise_matrix_problem, random_matrix_problem
-from fblq.cli import _suite_monotone
+from fblq.cli import SWEEP, _suite_monotone
 from fblq.decouple import (
     EXACT,
     direct_solver,
@@ -23,8 +26,9 @@ from fblq.decouple import (
 )
 from fblq.errors import DivergedError, SingularCoefficientError
 from fblq.linalg import gated_inverse, node_inverse, sym
-from fblq.model import CoefficientFunction
+from fblq.model import LEVEL_STRICT, CoefficientFunction, validate
 from fblq.odes import OdeSystem, TimeGrid, integrate_terminal
+from fblq.problem_io import load_problem
 from fblq.riccati import solve_auxiliary_riccati
 
 BLOCKS = ("P1", "P2", "P3", "phi1", "phi2")
@@ -181,7 +185,7 @@ def test_failing_member_past_the_early_stop_does_not_raise():
     prob = singular_l1_instance()
     with pytest.raises(SingularCoefficientError):
         integrate_direct(prob, [1, 2, 8, EXACT], GRID)
-    _, diag = iterate_limit(prob, GRID, schedule=(1, 2, 8), tol=1e3, measure_rate=False)
+    _, diag = iterate_limit(prob, GRID, schedule=(1, 2, 8), tol=1e3)
     assert diag.converged and diag.schedule == (1, 2)
 
 
@@ -194,7 +198,7 @@ def test_consumed_failing_index_raises_the_single_solve_error():
     assert str(swept.value) == str(single.value)
     assert (swept.value.name, swept.value.time, swept.value.member) == ("L1", 1.0, None)
     with pytest.raises(SingularCoefficientError) as monotone:
-        _suite_monotone(prob, GRID)
+        _suite_monotone(direct_solver(prob, SWEEP, GRID))
     assert str(monotone.value) == str(single.value)
 
 
@@ -215,6 +219,51 @@ def test_direct_solver_batches_generic_and_stays_lazy_on_scalar(monkeypatch):
     assert calls == []
     solve(2)
     assert calls == [2]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEPT = sorted(set(map(str, decouple.sweep_indices(SWEEP))))   # 14, i = 4 among them
+
+
+def seeded_2x1x1(outdir):
+    """The seeded (2,1,1) instance of the benchmark's inputs, as a file."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    [record] = inputs.write_instances(11, [(2, 1, 1)], outdir, "spy", load_problem, validate,
+                                      LEVEL_STRICT)
+    return outdir / record["file"]
+
+
+@pytest.mark.parametrize("instance, argv, expected", [
+    # --suite all and simulate integrate each index once, in one batch
+    ("2x1x1", ["verify", "--suite", "all", "--paths", "50"], [SWEPT]),
+    ("fully_coupled_example", ["verify", "--suite", "all", "--paths", "50"], SWEPT),
+    ("2x1x1", ["simulate", "--steps", "20", "--paths", "50"], [["4", "exact"]]),
+    # a single suite integrates what it reads and nothing more
+    ("2x1x1", ["verify", "--suite", "identities"], ["4"]),
+    ("2x1x1", ["verify", "--suite", "monotone"], [sorted(map(str, SWEEP))]),
+    ("2x1x1", ["verify", "--suite", "rate"], [SWEPT]),
+    ("deterministic_coupled", ["verify", "--suite", "special"], ["exact"]),
+])
+def test_each_command_reads_one_store_of_direct_solves(tmp_path, monkeypatch, instance, argv,
+                                                       expected):
+    path = (seeded_2x1x1(tmp_path) if instance == "2x1x1"
+            else ROOT / "problems" / f"{instance}.yaml")
+    calls = []
+    real = decouple.integrate_direct
+
+    def spy(problem, terminal_index, grid):
+        batched = isinstance(terminal_index, (list, tuple))
+        calls.append(sorted(map(str, terminal_index)) if batched else str(terminal_index))
+        return real(problem, terminal_index, grid)
+    for module in (decouple, cli):
+        monkeypatch.setattr(module, "integrate_direct", spy)
+    command, *options = argv
+    cli.main([command, str(path), "--grid", "20", "--output-dir", str(tmp_path / "out"),
+              *options])
+    assert sorted(calls, key=str) == sorted(expected, key=str)
 
 
 def test_identity_suite_inverts_m1_once(monkeypatch):

@@ -238,6 +238,10 @@ def test_simulate_steps_must_refine_grid(tmp_path):
     ["simulate", "--grid", "10", "--steps", "10", "--store-paths", "-1"],
     ["simulate", "--grid", "10", "--steps", "10", "--export-paths", "-1"],
     ["verify", "--suite", "monotone", "--grid", "10", "--paths", "0"],
+    # direct and riccati solve one index: a longer schedule is refused, not cut
+    ["solve", "--method", "direct", "--schedule", "4,8"],
+    ["solve", "--method", "riccati", "--schedule", "8,4"],
+    ["solve", "--method", "direct"],
 ])
 def test_bad_numeric_arguments_exit_2(tmp_path, argv, capsys):
     command, *options = argv

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from fblq.decouple import (
     EXACT,
     DecoupledSolution,
     check_transpose_consistency,
+    direct_solver,
     gain_condition_trace,
     identity_suite,
     integrate_direct,
@@ -31,6 +32,7 @@ from fblq.decouple import (
     transform_from_riccati,
 )
 from fblq.errors import DomainError, PreconditionError, SingularCoefficientError
+from fblq.feedback import evaluate_gain_table
 from fblq.linalg import min_eig_sym
 from fblq.model import CoefficientFunction, FBLQProblem
 from fblq.odes import TimeGrid
@@ -150,6 +152,24 @@ def test_direct_route_is_fourth_order_against_the_step_free_oracle(name):
                           np.max(np.abs(sol.P3.values + ref[:, n:, n:]))))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert min(ratios) >= 12.0, (errors, ratios)
+
+
+@pytest.mark.parametrize("steps", [70, 140])
+def test_node_just_below_a_breakpoint_reads_the_piece_that_starts_there(steps):
+    prob = _demo_switching_at_a_tenth()
+    grid = TimeGrid(prob.T, steps)
+    j = steps // 10
+    assert grid.aligns_with(prob.merged_breakpoints) and grid.nodes[j] < 0.1
+    at, on_grid = prob.snapshot(0.1), prob.on_grid(grid)
+    for f in fields(at):
+        assert np.array_equal(getattr(on_grid, f.name)[j], getattr(at, f.name)), f.name
+    sol = integrate_direct(prob, EXACT, grid)
+    table = evaluate_gain_table(prob, sol, grid)
+    g = l_coefficients(prob, *sol.at_node(j), t=0.1)
+    for name in ("L6", "L7", "L8", "L9", "L10", "L11", "S3", "S4", "S5"):
+        assert np.allclose(getattr(table, name)[j], getattr(g, name).reshape(-1)
+                           if name.startswith("S") else getattr(g, name),
+                           rtol=1e-13, atol=0.0), name
 
 
 def test_scalar_fast_path_matches_generic_blocks(grid1000):
@@ -324,7 +344,7 @@ def test_limit_trivial_converges_immediately(grid1000):
 def test_limit_gain_cond_bound_is_worst_of_33_sampled_nodes():
     prob = make_fully_coupled()
     grid = TimeGrid(prob.T, 200)
-    _, diag = iterate_limit(prob, grid, schedule=(1, 2, 4), measure_rate=False)
+    _, diag = iterate_limit(prob, grid, schedule=(1, 2, 4))
     nodes = np.unique(np.linspace(0, grid.steps, 33).astype(int))
     worst = 0.0
     for _, sol in diag.iterates:
@@ -363,10 +383,14 @@ def test_limit_rate_and_monotonicity(grid1000):
 
 def test_limit_riccati_method_matches_direct(grid1000):
     prob = make_partially_coupled()
-    sol_d, diag_d = iterate_limit(prob, grid1000, schedule=(1, 2, 4),
-                                  measure_rate=False)
-    sol_r, diag_r = iterate_limit(prob, grid1000, schedule=(1, 2, 4),
-                                  method="riccati", measure_rate=False)
+    direct = direct_solver(prob, [EXACT], grid1000)
+
+    def riccati(i):
+        if i == EXACT:
+            return direct(EXACT)
+        return transform_from_riccati(*solve_offset_tilde(prob, i, grid1000))
+    sol_d, diag_d = iterate_limit(prob, grid1000, schedule=(1, 2, 4))
+    sol_r, diag_r = iterate_limit(prob, grid1000, schedule=(1, 2, 4), solve=riccati)
     assert max(solution_gap(sol_d, sol_r).values()) < 1e-9
     for (ia, a), (ib, b) in zip(diag_d.iterates, diag_r.iterates):
         assert ia == ib
