@@ -22,7 +22,6 @@ from fblq.decouple import (
     EXACT,
     DecoupledSolution,
     check_transpose_consistency,
-    direct_solver,
     gain_condition_trace,
     identity_suite,
     integrate_direct,
@@ -383,11 +382,9 @@ def test_limit_rate_and_monotonicity(grid1000):
 
 def test_limit_riccati_method_matches_direct(grid1000):
     prob = make_partially_coupled()
-    direct = direct_solver(prob, [EXACT], grid1000)
-
     def riccati(i):
         if i == EXACT:
-            return direct(EXACT)
+            return integrate_direct(prob, EXACT, grid1000)
         return transform_from_riccati(*solve_offset_tilde(prob, i, grid1000))
     sol_d, diag_d = iterate_limit(prob, grid1000, schedule=(1, 2, 4))
     sol_r, diag_r = iterate_limit(prob, grid1000, schedule=(1, 2, 4), solve=riccati)
