@@ -85,6 +85,7 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 SWEEP = (1, 2, 4, 8, 16, 32, 64)   # the monotone and rate suites' schedule
+IDENTITY_INDEX = 4   # the penalization index the identity checks read
 
 
 @dataclass
@@ -252,7 +253,7 @@ def cmd_simulate(args) -> int:
     if steps % grid.steps != 0:
         raise PreconditionError("--steps must be a multiple of --grid")
     strict = validate(problem, LEVEL_STRICT).passed
-    solve = direct_solver(problem, [EXACT, 4] if strict else [EXACT], grid)
+    solve = direct_solver(problem, [EXACT, IDENTITY_INDEX] if strict else [EXACT], grid)
     sim_grid = TimeGrid(problem.T, steps)
     table = evaluate_gain_table(problem, solve(EXACT), sim_grid)
     law = synthesize(table, xy_form=False)
@@ -334,11 +335,12 @@ class SuiteCheck:
 
 
 def _identity_residual(problem, grid, times, solve) -> float:
-    """Largest counted identity residual over ``times`` of the i = 4 direct
-    solve, read from the command's store ``solve``, and the i = 4 Riccati
-    solve; the problem must pass the strict level."""
-    ric = solve_auxiliary_riccati(problem, 4, grid)
-    return max(identity_suite(problem, solve(4), ric, float(t)).max_counted_residual
+    """Largest counted identity residual over ``times`` of the direct solve
+    at ``IDENTITY_INDEX``, read from the command's store ``solve``, and the
+    Riccati solve there; the problem must pass the strict level."""
+    ric = solve_auxiliary_riccati(problem, IDENTITY_INDEX, grid)
+    return max(identity_suite(problem, solve(IDENTITY_INDEX), ric,
+                              float(t)).max_counted_residual
                for t in times)
 
 
@@ -445,7 +447,7 @@ def cmd_verify(args) -> int:
     checks: list[SuiteCheck] = []
     wanted = args.suite
     strict = wanted in ("identities", "all") and validate(problem, LEVEL_STRICT).passed
-    reads = {"identities": [4] if strict else [], "monotone": SWEEP,
+    reads = {"identities": [IDENTITY_INDEX] if strict else [], "monotone": SWEEP,
              "rate": sweep_indices(SWEEP), "special": [EXACT]}   # what each suite solves
     solve = direct_solver(problem, [i for suite, indices in reads.items()
                                     if wanted in (suite, "all") for i in indices], grid)

@@ -190,7 +190,7 @@ class CostReport:
 
 def mean_stderr(samples: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (ddof = 1; 0.0 for one sample)."""
-    mean =float(np.mean(samples))
+    mean = float(np.mean(samples))
     if samples.size > 1:
         stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
     else:

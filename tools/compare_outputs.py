@@ -2,7 +2,7 @@
 
 Usage, from any directory:
 
-    python3 tools/compare_outputs.py PARENT CHANGE [--workdir DIR] [-k TEXT]
+    python3 tools/compare_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are repository roots. The command matrix is the example
 files of PARENT's ``problems/`` plus the seeded (2,1,1) and (4,3,2)
@@ -149,22 +149,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="keep problems and outputs here (default: a temporary directory)")
-    parser.add_argument("-k", dest="select", default="",
-                        help="run only the commands whose 'problem command' label contains this")
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory(prefix="fblq-compare-") as tmp:
-        work = args.workdir.resolve() if args.workdir else Path(tmp)
+        work = Path(tmp)
         problems = write_problems(parent, work / "problems")
-        exit_mismatch = differing = total = 0
+        exit_mismatch = differing = 0
         for problem in problems:
             for label, command in COMMANDS.items():
                 name = f"{problem.stem} {label}"
-                if args.select not in name:
-                    continue
-                total += 1
                 out = {side: work / "out" / side / problem.stem / label
                        for side in ("parent", "change")}
                 codes = [run_side(root, problem, command, out[side])
@@ -180,6 +173,7 @@ def main(argv=None) -> int:
                 print(f"{name:<50} exit {codes[0]}/{codes[1]}  {status}", flush=True)
                 for line in report:
                     print(f"    {line}", flush=True)
+        total = len(problems) * len(COMMANDS)
         print(f"{total} commands: {total - differing} with identical files, "
               f"{differing} with differing files, {exit_mismatch} with differing exit codes")
     return 1 if exit_mismatch else 0
